@@ -19,7 +19,6 @@ from .controller import (
     check_termination,
     recorded_plans,
     replay_scenario,
-    run_scenario,
 )
 from .errors import (
     CyclicModelError,
@@ -51,7 +50,7 @@ from .planner import (
     solve_approx,
     solve_exact,
 )
-from .valuation import ActionInstance, Valuer, ValueMode, value_all_candidates
+from .valuation import ActionInstance, Valuer, ValueMode
 from .world import (
     ActionResult,
     Binding,

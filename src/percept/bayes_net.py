@@ -2,10 +2,11 @@
 
 The net is kept singly connected (a polytree): every :meth:`BayesNet.link`
 call that would create an undirected cycle is rejected, so propagation by
-message passing is always exact.  Posteriors are recomputed by a
-deterministic two-sweep (leaves to root, then root to leaves) over the
-factor tree; messages are renormalized after every hop to guard against
-underflow on long chains of small likelihoods.
+message passing is always exact.  After any change to nodes, edges or
+evidence, posteriors are recomputed by a deterministic two-sweep (leaves to
+root, then root to leaves) over the factor tree; messages are renormalized
+after every hop to guard against underflow on long chains of small
+likelihoods.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class BayesNet:
         self._parents: dict[str, list[tuple[str, ConditionalTable]]] = {}
         self._children: dict[str, list[str]] = {}
         self._edges: list[NetEdge] = []
-        self._dirty = False
+        self._cpts: dict[str, np.ndarray] = {}  # p(node | all its parents), set by link
+        self._dirty = False  # evidence or structure changed since propagate
 
     # -- structure -------------------------------------------------------
 
@@ -77,6 +79,7 @@ class BayesNet:
         )
         self._parents[node_id] = []
         self._children[node_id] = []
+        self._dirty = True
         return node_id
 
     def node(self, node_id: str) -> BayesNode:
@@ -118,11 +121,13 @@ class BayesNet:
                 f"linking {parent!r} -> {child!r} would create a second undirected "
                 f"path; existing path: {' - '.join(witness)}"
             )
-        self._parents[child].append((parent, table))
+        parents = self._parents[child] + [(parent, table)]
+        # fails fast on a zero-probability parent slice, leaving the net as it was
+        self._cpts[child] = self._combined_cpt(child, parents)
+        self._parents[child] = parents
         self._children[parent].append(child)
         edge = NetEdge(parent=parent, child=child, table=table.id)
         self._edges.append(edge)
-        self._combined_cpt(child)  # fails fast on a zero-probability parent slice
         self._dirty = True
         return edge
 
@@ -171,16 +176,16 @@ class BayesNet:
         node.lambda_evidence.append(vec.copy())
         self._dirty = True
 
-    def _combined_cpt(self, node_id: str) -> np.ndarray:
+    def _combined_cpt(
+        self, node_id: str, ps: list[tuple[str, ConditionalTable]]
+    ) -> np.ndarray:
         """p(node | all parents p1..pn) as array of shape (card, |p1|, .., |pn|).
 
         With several parents the per-edge tables are combined by a normalized
         product over the child axis; with one parent this is exactly the
         edge's table.
         """
-        node = self.nodes[node_id]
-        ps = self._parents[node_id]
-        card = len(node.labels)
+        card = len(self.nodes[node_id].labels)
         shape = [card] + [len(self.nodes[p].labels) for p, _ in ps]
         arr = np.ones(shape, dtype=float)
         for i, (_, table) in enumerate(ps):
@@ -201,7 +206,7 @@ class BayesNet:
         for nid, node in self.nodes.items():
             ps = self._parents[nid]
             if ps:
-                factors.append(((nid, *(p for p, _ in ps)), self._combined_cpt(nid)))
+                factors.append(((nid, *(p for p, _ in ps)), self._cpts[nid]))
             else:
                 factors.append(((nid,), node.prior))
             if node.lambda_evidence:
@@ -212,9 +217,9 @@ class BayesNet:
         return factors
 
     def propagate(self) -> None:
-        """Recompute every belief as the exact posterior marginal."""
-        if not self.nodes:
-            self._dirty = False
+        """Recompute every belief as the exact posterior marginal; a no-op
+        unless a node, edge or evidence was added since the last call."""
+        if not self._dirty:
             return
         factors = self._build_factors()
         var_factors: dict[str, list[int]] = {nid: [] for nid in self.nodes}

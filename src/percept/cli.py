@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .controller import Controller, audit_report
-from .errors import ScenarioError
 from .model_base import load_scenario
 from .planner import KnapsackInstance, solve_approx, solve_exact
 
@@ -30,10 +29,15 @@ def trace_rows(report: dict, level: int = 1) -> list[tuple]:
     rows = []
     for step in report["steps"]:
         by_id = {c["id"]: c for c in step["candidates"]}
+        selected = step["plan"]["selected"]
         outcome_of = {cid: (out, fin) for cid, out, fin in step["completions"]}
-        for cid in sorted(step["plan"]["selected"]):
-            cand = by_id[cid]
-            outcome, finish = outcome_of.get(cid, ("cancelled", ""))
+        listed = [
+            (by_id[cid], *outcome_of.get(cid, ("cancelled", "")))
+            for cid in sorted(selected)
+        ]
+        if level >= 2:
+            listed += [(c, "", "") for c in step["candidates"] if c["id"] not in selected]
+        for cand, outcome, finish in listed:
             rows.append(
                 (
                     step["step"],
@@ -45,21 +49,6 @@ def trace_rows(report: dict, level: int = 1) -> list[tuple]:
                     finish,
                 )
             )
-        if level >= 2:
-            for cand in step["candidates"]:
-                if cand["id"] in step["plan"]["selected"]:
-                    continue
-                rows.append(
-                    (
-                        step["step"],
-                        cand["kind"],
-                        cand["target"],
-                        f"{cand['value']:.6g}",
-                        cand["cost"],
-                        "",
-                        "",
-                    )
-                )
     return rows
 
 
@@ -84,18 +73,14 @@ def _seed_from(args) -> int | None:
 
 
 def cmd_run(args) -> int:
-    try:
-        mb = load_scenario(args.scenario)
-        ctl = Controller(
-            mb,
-            seed=_seed_from(args),
-            budget=args.budget,
-            epsilon=args.epsilon,
-        )
-        report = ctl.run()
-    except (ScenarioError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    mb = load_scenario(args.scenario)
+    ctl = Controller(
+        mb,
+        seed=_seed_from(args),
+        budget=args.budget,
+        epsilon=args.epsilon,
+    )
+    report = ctl.run()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trace(out / "trace.tsv", report, args.trace_level)
@@ -123,11 +108,7 @@ def cmd_sweep(args) -> int:
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         print("error: budgets must be strictly increasing", file=sys.stderr)
         return 2
-    try:
-        mb = load_scenario(args.scenario)
-    except (ScenarioError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    mb = load_scenario(args.scenario)
     rows = []
     minimum_t = None
     for budget in budgets:
@@ -140,14 +121,12 @@ def cmd_sweep(args) -> int:
         rows.append((budget, terminated, f"{final:.4f}", report["simulated_time"]))
         if terminated and minimum_t is None:
             minimum_t = budget
-    print("budget_T\tterminated\tfinal_belief\tsimulated_time")
-    for row in rows:
-        print("\t".join(str(x) for x in row))
+    lines = ["budget_T\tterminated\tfinal_belief\tsimulated_time"]
+    lines += ["\t".join(str(x) for x in row) for row in rows]
+    print("\n".join(lines))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["budget_T\tterminated\tfinal_belief\tsimulated_time"]
-        lines += ["\t".join(str(x) for x in row) for row in rows]
         (out / "sweep.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     if minimum_t is None:
         print("no budget reached the termination belief")
@@ -157,26 +136,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_knapsack(args) -> int:
-    try:
-        raw = json.loads(Path(args.instance).read_text(encoding="utf-8"))
-        inst = KnapsackInstance.from_dict(raw)
-        if args.exact:
-            plan = solve_exact(inst)
-        else:
-            plan = solve_approx(inst, args.epsilon if args.epsilon else 0.1)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    raw = json.loads(Path(args.instance).read_text(encoding="utf-8"))
+    inst = KnapsackInstance.from_dict(raw)
+    if args.exact:
+        plan = solve_exact(inst)
+    else:
+        plan = solve_approx(inst, 0.1 if args.epsilon is None else args.epsilon)
     print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_validate(args) -> int:
-    try:
-        mb = load_scenario(args.scenario)
-    except (ScenarioError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    mb = load_scenario(args.scenario)
     print(
         f"OK: {len(mb.nodes)} models, {len(mb.groups)} groups, "
         f"{len(mb.actions)} action templates"
@@ -222,7 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError) as exc:  # load, configuration, input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

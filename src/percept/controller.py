@@ -99,9 +99,6 @@ class SimulatedPool:
     def in_flight_count(self) -> int:
         return len(self._in_flight)
 
-    def in_flight_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for _, _, a in sorted(self._in_flight))
-
     def next_completion(self) -> tuple[int, ActionInstance] | None:
         """Pop the earliest completion, advance the clock, refill the pool."""
         if not self._in_flight:
@@ -158,7 +155,7 @@ class Controller:
             value_mode=base.value_mode if value_mode is None else str(value_mode),
             duration_jitter=base.duration_jitter,
         )
-        self.mode = ValueMode.from_str(self.config.value_mode)
+        self.mode = ValueMode(self.config.value_mode)
         self.net = BayesNet()
         self.world = world_sim.World.from_dict(
             model_base.world, known_types=set(model_base.nodes)
@@ -339,13 +336,15 @@ class Controller:
             action, world_sim.ActionResult(outcome=outcome, duration=action.cost)
         )
 
-    def _action_rng(self, step: int, action: ActionInstance) -> np.random.Generator:
+    def _keyed_rng(
+        self, stream: int, step: int, action: ActionInstance
+    ) -> np.random.Generator:
         # keyed, not sequential: replays and permutations see identical streams
         return np.random.default_rng(
             np.random.SeedSequence(
                 (
                     self.config.seed,
-                    _ACTION_STREAM,
+                    stream,
                     step,
                     self.node_seq[action.target_node],
                     self._template_index[action.template_id],
@@ -362,17 +361,7 @@ class Controller:
         jitter = self.config.duration_jitter
         if jitter <= 0.0:
             return int(action.cost)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                (
-                    self.config.seed,
-                    _JITTER_STREAM,
-                    step,
-                    self.node_seq[action.target_node],
-                    self._template_index[action.template_id],
-                )
-            )
-        )
+        rng = self._keyed_rng(_JITTER_STREAM, step, action)
         factor = 1.0 + jitter * (2.0 * rng.random() - 1.0)
         return max(0, int(round(action.cost * factor)))
 
@@ -427,7 +416,7 @@ class Controller:
                 action,
                 self.world,
                 self.net,
-                self._action_rng(index, action),
+                self._keyed_rng(_ACTION_STREAM, index, action),
                 self.bindings,
                 self.mb,
             )
@@ -504,10 +493,6 @@ class Controller:
             "terminated_reason": reason,
             "simulated_time": self.clock,
         }
-
-
-def run_scenario(model_base: ModelBase, **overrides) -> dict:
-    return Controller(model_base, **overrides).run()
 
 
 def recorded_plans(report: dict) -> list[list[str]]:

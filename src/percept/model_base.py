@@ -175,10 +175,6 @@ class OutcomeTable:
                 f"outcome table {self.id}: unknown outcome {outcome!r}"
             ) from None
 
-    def child_marginal(self) -> np.ndarray:
-        """p(child label | parent label), outcomes summed out; shape (child, parent)."""
-        return self.entries.sum(axis=1)
-
     def __eq__(self, other):
         return (
             isinstance(other, OutcomeTable)
@@ -438,7 +434,11 @@ class ModelBase:
                     )
 
         self.topological_order()  # raises on a node-level cycle, naming nodes
-        self._topological_groups()
+        _topological(
+            self.groups,
+            lambda g: [c for c, ps in self.group_parents.items() if g in dict(ps)],
+            "group-level",
+        )
 
         # action templates reference known tables and nodes; table axes are groups
         for t in self.actions:
@@ -463,47 +463,9 @@ class ModelBase:
 
     def topological_order(self) -> tuple[str, ...]:
         """Model node ids, every part after its whole; raises on a cycle."""
-        order, state = [], {}
-
-        def visit(mid: str, chain: tuple[str, ...]):
-            if state.get(mid) == "done":
-                return
-            if state.get(mid) == "open":
-                cycle = chain[chain.index(mid):] + (mid,)
-                raise CyclicModelError(
-                    f"part-of cycle through {', '.join(cycle)}"
-                )
-            state[mid] = "open"
-            for child_id, _ in self.nodes[mid].parts:
-                visit(child_id, chain + (mid,))
-            state[mid] = "done"
-            order.append(mid)
-
-        for mid in self.nodes:
-            visit(mid, ())
-        order.reverse()
-        return tuple(order)
-
-    def _topological_groups(self) -> tuple[str, ...]:
-        order, state = [], {}
-
-        def visit(g: str, chain: tuple[str, ...]):
-            if state.get(g) == "done":
-                return
-            if state.get(g) == "open":
-                cycle = chain[chain.index(g):] + (g,)
-                raise CyclicModelError(f"group-level cycle through {', '.join(cycle)}")
-            state[g] = "open"
-            for child_g, parents in self.group_parents.items():
-                if any(pg == g for pg, _ in parents):
-                    visit(child_g, chain + (g,))
-            state[g] = "done"
-            order.append(g)
-
-        for g in self.groups:
-            visit(g, ())
-        order.reverse()
-        return tuple(order)
+        return _topological(
+            self.nodes, lambda mid: [c for c, _ in self.nodes[mid].parts], "part-of"
+        )
 
     def __eq__(self, other):
         if not isinstance(other, ModelBase):
@@ -518,6 +480,29 @@ class ModelBase:
             and self.world == other.world
             and self.control == other.control
         )
+
+
+def _topological(keys, children, what: str) -> tuple[str, ...]:
+    """Keys ordered parents first, by depth-first search; raises
+    CyclicModelError naming the cycle's members as a ``what`` cycle."""
+    order, state = [], {}
+
+    def visit(key: str, chain: tuple[str, ...]):
+        if state.get(key) == "done":
+            return
+        if state.get(key) == "open":
+            cycle = chain[chain.index(key):] + (key,)
+            raise CyclicModelError(f"{what} cycle through {', '.join(cycle)}")
+        state[key] = "open"
+        for child in children(key):
+            visit(child, chain + (key,))
+        state[key] = "done"
+        order.append(key)
+
+    for key in keys:
+        visit(key, ())
+    order.reverse()
+    return tuple(order)
 
 
 def _build_groups(models: list[dict]) -> tuple[dict[str, ModelNode], dict[str, HypothesisSet]]:

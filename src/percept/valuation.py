@@ -3,9 +3,11 @@
 The value of confirming a hypothesis label is seeded by the goal values at
 the top of the model hierarchy and propagated downward: a label is worth
 the belief change its confirmation would induce at its parents, weighted
-by their values.  An action at a node is then valued by how far its
-Bayes-rule posterior over the parent labels moves from the current parent
-probabilities.
+by their values.  An action is valued once per parent context it bears
+on: one contraction over its outcome table ``entries[c, o, p]`` gives, for
+every child label at once, how far the Bayes-rule posterior over the parent
+labels moves from the current parent probabilities.  Its value at a node is
+the sum over the node's labels, taken in label order.
 
 Two modes are provided.  OUTCOME_MARGINAL marginalizes the action's outcomes
 before applying Bayes rule, so an action whose outcomes are informative
@@ -29,10 +31,6 @@ from .model_base import ModelBase, OutcomeTable
 class ValueMode(enum.Enum):
     OUTCOME_MARGINAL = "OUTCOME_MARGINAL"
     EXPECTED_ABS_CHANGE = "EXPECTED_ABS_CHANGE"
-
-    @staticmethod
-    def from_str(name: str) -> "ValueMode":
-        return ValueMode(name)
 
 
 @dataclass
@@ -61,14 +59,15 @@ class _ParentContext:
     values: np.ndarray
 
 
-def _bayes(likelihood: np.ndarray, prior: np.ndarray, what: str) -> np.ndarray:
-    joint = likelihood * prior
-    total = joint.sum()
-    if total <= 0.0:
-        raise UnsupportedConfigurationError(
-            f"{what}: zero total probability, action cannot bear on this parent"
-        )
-    return joint / total
+def _marginal_posteriors(
+    table: OutcomeTable, prior: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """p(parent | child label, action) for every child label, outcomes summed
+    out, and each label's total probability; a row with zero total is NaN."""
+    joint = table.entries.sum(axis=1) * prior  # (child, parent)
+    denom = joint.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return joint / denom[:, None], denom
 
 
 class Valuer:
@@ -91,7 +90,7 @@ class Valuer:
             model_base.goal_values if goal_values is None else goal_values
         )
         self.mode = mode
-        self.posterior_evals = 0  # vectorized posterior_given_action evaluations
+        self.posterior_evals = 0  # contractions: one per (action, parent context)
         self._node_values: dict[str, np.ndarray] = {}
         self._group_values: dict[str, np.ndarray] = {}
         self._beliefs: dict[str, np.ndarray] = {
@@ -229,25 +228,68 @@ class Valuer:
 
     # -- the operations ------------------------------------------------------
 
-    def _posterior_vector(
-        self, table: OutcomeTable, child_label: str, prior: np.ndarray
+    def _context_values(
+        self, table: OutcomeTable, ctx: _ParentContext, mode: ValueMode
     ) -> np.ndarray:
-        """p(parent | child label, action), outcomes marginalized; Bayes rule."""
+        """Value of confirming each child label, in one parent context.
+
+        One contraction over ``entries[c, o, p]`` covers every label.  A label
+        with zero total probability gets NaN: it cannot bear on this parent.
+        Each label's sums run in a fixed order: values are bit-reproducible.
+        """
         self.posterior_evals += 1
-        ci = table.child_labels.index(child_label)
-        likelihood = table.entries[ci].sum(axis=0)  # p(child, action | parent)
-        return _bayes(likelihood, prior, f"action over table {table.id}")
+        if mode is ValueMode.OUTCOME_MARGINAL:
+            post, denom = _marginal_posteriors(table, ctx.prior)
+            shift = np.abs(post - ctx.prior)
+        else:
+            joint = table.entries * ctx.prior  # (child, outcome, parent)
+            denom = joint.reshape(len(joint), -1).sum(axis=1)  # (outcome, parent) flat
+            mass = joint.sum(axis=2)  # (child, outcome)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                moved = (mass / denom[:, None])[..., None] * np.abs(
+                    joint / mass[..., None] - ctx.prior
+                )
+            # zero-mass outcomes move nothing; cumsum adds outcomes in order
+            moved = np.where(mass[..., None] > 0.0, moved, 0.0)
+            shift = np.cumsum(moved, axis=1)[:, -1]
+        return np.where(denom > 0.0, (shift * ctx.values).sum(axis=1), np.nan)
+
+    def _label_values(
+        self, action: ActionInstance, labels: tuple[str, ...], mode: ValueMode | None
+    ) -> list[float]:
+        """The action's value at each of ``labels``, summed over its contexts."""
+        table = self.mb.outcome_table(action.outcome_table)
+        for label in labels:
+            if label not in table.child_labels:
+                raise UnsupportedConfigurationError(
+                    f"action {action.id}: table {table.id} does not cover label {label!r}"
+                )
+        total = np.zeros(len(table.child_labels))
+        for ctx in self._contexts(action):
+            total = total + self._context_values(table, ctx, mode or self.mode)
+        values = [float(total[table.child_labels.index(lab)]) for lab in labels]
+        for label, value in zip(labels, values):
+            if np.isnan(value):
+                raise UnsupportedConfigurationError(
+                    f"action {action.id}: zero probability for label {label!r}"
+                )
+        return values
 
     def posterior_given_action(
         self, parent_label: str, child_label: str, action: ActionInstance
     ) -> float:
         """Posterior probability of one parent label given the child and action."""
         table = self.mb.outcome_table(action.outcome_table)
-        contexts = self._contexts(action)
-        for ctx in contexts:
+        for ctx in self._contexts(action):
             if parent_label in ctx.labels:
-                post = self._posterior_vector(table, child_label, ctx.prior)
-                return float(post[ctx.labels.index(parent_label)])
+                self.posterior_evals += 1
+                ci = table.child_labels.index(child_label)
+                post, denom = _marginal_posteriors(table, ctx.prior)
+                if denom[ci] <= 0.0:
+                    raise UnsupportedConfigurationError(
+                        f"action {action.id}: zero probability for label {child_label!r}"
+                    )
+                return float(post[ci, ctx.labels.index(parent_label)])
         raise UnsupportedConfigurationError(
             f"action {action.id}: no parent context carries label {parent_label!r}"
         )
@@ -255,35 +297,7 @@ class Valuer:
     def value_of_action_at_hypothesis(
         self, h_label: str, action: ActionInstance, mode: ValueMode | None = None
     ) -> float:
-        mode = mode or self.mode
-        table = self.mb.outcome_table(action.outcome_table)
-        if h_label not in table.child_labels:
-            raise UnsupportedConfigurationError(
-                f"action {action.id}: table {table.id} does not cover label {h_label!r}"
-            )
-        total = 0.0
-        for ctx in self._contexts(action):
-            if mode is ValueMode.OUTCOME_MARGINAL:
-                post = self._posterior_vector(table, h_label, ctx.prior)
-                shift = np.abs(post - ctx.prior)
-            else:
-                ci = table.child_labels.index(h_label)
-                self.posterior_evals += 1
-                joint = table.entries[ci] * ctx.prior[None, :]  # (outcome, parent)
-                denom = joint.sum()
-                if denom <= 0.0:
-                    raise UnsupportedConfigurationError(
-                        f"action {action.id}: zero probability for label {h_label!r}"
-                    )
-                shift = np.zeros(len(ctx.labels))
-                for oi in range(len(table.outcomes)):
-                    mass = joint[oi].sum()
-                    if mass <= 0.0:
-                        continue
-                    post_o = joint[oi] / mass
-                    shift += (mass / denom) * np.abs(post_o - ctx.prior)
-            total += float((shift * ctx.values).sum())
-        return total
+        return self._label_values(action, (h_label,), mode)[0]
 
     def value_of_action_at_node(
         self, action: ActionInstance, mode: ValueMode | None = None
@@ -296,22 +310,10 @@ class Valuer:
                 f"action {action.id}: table {table.id} child labels do not match "
                 f"node {node.id!r}"
             )
-        return float(
-            sum(self.value_of_action_at_hypothesis(lab, action, mode) for lab in node.labels)
-        )
+        return float(sum(self._label_values(action, node.labels, mode)))
 
     def value_all_candidates(self, candidates) -> list[ActionInstance]:
         """Fill in the value of every candidate; parent values are shared."""
         for cand in candidates:
             cand.value = self.value_of_action_at_node(cand)
         return list(candidates)
-
-
-def value_all_candidates(
-    net: BayesNet,
-    model_base: ModelBase,
-    candidates,
-    goal_values: dict[str, float] | None = None,
-    mode: ValueMode = ValueMode.OUTCOME_MARGINAL,
-) -> list[ActionInstance]:
-    return Valuer(net, model_base, goal_values, mode).value_all_candidates(candidates)

@@ -224,6 +224,45 @@ def test_property_polytree_oracle(seed):
         assert np.allclose(net.belief(nid), want, atol=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_skipped_propagates_match_one_propagate(seed):
+    """After any interleaving of construction, evidence and propagate calls,
+    beliefs equal those of the same net built afresh and propagated once,
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    spec = random_polytree(rng, max_nodes=6)
+    ops = []
+    for k, (nid, (_, prior)) in enumerate(spec.nodes.items()):
+        tail = [("evidence", nid, vec) for vec in spec.evidence.get(nid, [])]
+        if k:
+            tail.append(("link", *spec.edges[k - 1]))
+        ops.append(("node", nid, prior))
+        ops.extend(tail[i] for i in rng.permutation(len(tail)))
+
+    def apply(net, op):
+        kind, a, b, *rest = op
+        if kind == "node":
+            labels = tuple(f"{a}_{i}" for i in range(len(b)))
+            net.instantiate_node(HypothesisSet(labels=labels, priors=np.array(b)), node_id=a)
+        elif kind == "link":
+            net.link(a, b, table(net.node(a).labels, net.node(b).labels, rest[0]))
+        else:
+            net.attach_evidence(a, np.array(b))
+
+    stepped = BayesNet()
+    for i, op in enumerate(ops):
+        apply(stepped, op)
+        if rng.random() < 0.5 or i == len(ops) - 1:
+            stepped.propagate()
+            once = BayesNet()
+            for done in ops[: i + 1]:
+                apply(once, done)
+            once.propagate()
+            for nid in once.nodes:
+                assert np.array_equal(stepped.belief(nid), once.belief(nid)), nid
+
+
 def test_snapshot_round_trip():
     net = BayesNet()
     a = net.instantiate_node(hs(0.7, 0.3), node_id="a")

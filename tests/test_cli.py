@@ -118,6 +118,11 @@ class TestKnapsack:
     def test_missing_instance_file(self, capsys):
         assert main(["knapsack", "--instance", "/no/such.json", "--exact"]) == 1
 
+    def test_epsilon_zero_exits_one(self, tmp_path, capsys):
+        p = self.write(tmp_path, STEP1_INSTANCE)
+        assert main(["knapsack", "--instance", str(p), "--epsilon", "0"]) == 1
+        assert "error: epsilon" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_endpoints_and_minimum(self, tiny_path, capsys):
@@ -141,6 +146,16 @@ class TestSweep:
     def test_no_budget_suffices(self, tiny_path, capsys):
         assert main(["sweep", "--scenario", str(tiny_path), "--budgets", "0", "1"]) == 2
         assert "no budget reached" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra, seed_env", [(["--epsilon", "2"], None), ([], "not-a-seed")]
+    )
+    def test_bad_override_exits_one(self, tiny_path, monkeypatch, capsys, extra, seed_env):
+        if seed_env is not None:
+            monkeypatch.setenv("PERCEPT_SEED", seed_env)
+        args = ["sweep", "--scenario", str(tiny_path), "--budgets", "100", *extra]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_writes_summary_file(self, tiny_path, tmp_path):
         out = tmp_path / "sw"

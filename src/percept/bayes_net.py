@@ -2,16 +2,16 @@
 
 The net is kept singly connected (a polytree): every :meth:`BayesNet.link`
 call that would create an undirected cycle is rejected, so propagation by
-message passing is always exact.  After any change to nodes, edges or
-evidence, posteriors are recomputed by a deterministic two-sweep (leaves to
-root, then root to leaves) over the factor tree; messages are renormalized
-after every hop to guard against underflow on long chains of small
-likelihoods.
+message passing is always exact.  After a change to nodes, edges or
+evidence, the posteriors of each changed component are recomputed by a
+deterministic two-sweep (leaves to root, then root to leaves) over its
+factor tree; messages are renormalized after every hop to guard against
+underflow on long chains of small likelihoods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class BayesNode:
     model_refs: dict[str, str | None]
     prior: np.ndarray  # acts as the root prior until a parent is linked
     belief: np.ndarray
-    lambda_evidence: list[np.ndarray] = field(default_factory=list)
+    evidence: np.ndarray | None = None  # product of attached likelihoods
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -51,7 +51,7 @@ class BayesNet:
         self._children: dict[str, list[str]] = {}
         self._edges: list[NetEdge] = []
         self._cpts: dict[str, np.ndarray] = {}  # p(node | all its parents), set by link
-        self._dirty = False  # evidence or structure changed since propagate
+        self._dirty: set[str] = set()  # nodes touched since the last propagate
 
     # -- structure -------------------------------------------------------
 
@@ -79,7 +79,7 @@ class BayesNet:
         )
         self._parents[node_id] = []
         self._children[node_id] = []
-        self._dirty = True
+        self._dirty.add(node_id)
         return node_id
 
     def node(self, node_id: str) -> BayesNode:
@@ -91,10 +91,6 @@ class BayesNet:
     def parents(self, node_id: str) -> tuple[tuple[str, ConditionalTable], ...]:
         self.node(node_id)
         return tuple(self._parents[node_id])
-
-    def children(self, node_id: str) -> tuple[str, ...]:
-        self.node(node_id)
-        return tuple(self._children[node_id])
 
     def edges(self) -> tuple[NetEdge, ...]:
         return tuple(self._edges)
@@ -128,7 +124,7 @@ class BayesNet:
         self._children[parent].append(child)
         edge = NetEdge(parent=parent, child=child, table=table.id)
         self._edges.append(edge)
-        self._dirty = True
+        self._dirty.add(child)
         return edge
 
     def _undirected_path(self, a: str, b: str) -> list[str] | None:
@@ -173,8 +169,8 @@ class BayesNet:
             raise InconsistentEvidenceError(
                 f"all-zero likelihood on {node_id!r} contradicts every hypothesis"
             )
-        node.lambda_evidence.append(vec.copy())
-        self._dirty = True
+        node.evidence = vec.copy() if node.evidence is None else node.evidence * vec
+        self._dirty.add(node_id)
 
     def _combined_cpt(
         self, node_id: str, ps: list[tuple[str, ConditionalTable]]
@@ -209,16 +205,15 @@ class BayesNet:
                 factors.append(((nid, *(p for p, _ in ps)), self._cpts[nid]))
             else:
                 factors.append(((nid,), node.prior))
-            if node.lambda_evidence:
-                lam = np.ones(len(node.labels))
-                for vec in node.lambda_evidence:
-                    lam = lam * vec
-                factors.append(((nid,), lam))
+            if node.evidence is not None:
+                factors.append(((nid,), node.evidence))
         return factors
 
     def propagate(self) -> None:
-        """Recompute every belief as the exact posterior marginal; a no-op
-        unless a node, edge or evidence was added since the last call."""
+        """Recompute the exact posterior marginals of every component that
+        gained a node, edge or evidence since the last call; other beliefs
+        are left as they are (on a tree each message depends only on its own
+        subtree, so they would come out bit for bit the same)."""
         if not self._dirty:
             return
         factors = self._build_factors()
@@ -262,7 +257,7 @@ class BayesNet:
             return out / s
 
         seen: set[str] = set()
-        for root in sorted(self.nodes):
+        for root in sorted(self._dirty):
             if root in seen:
                 continue
             # BFS over the bipartite factor tree of this component
@@ -301,6 +296,8 @@ class BayesNet:
                             messages[("f", key, u)] = factor_to_var(key, u)
 
         for nid, node in self.nodes.items():
+            if nid not in seen:
+                continue
             out = np.ones(len(node.labels))
             for fi in var_factors[nid]:
                 out = out * messages[("f", fi, nid)]
@@ -310,7 +307,7 @@ class BayesNet:
                     f"posterior for {nid!r} has zero total probability"
                 )
             node.belief = out / s
-        self._dirty = False
+        self._dirty.clear()
 
     def belief(self, node_id: str) -> np.ndarray:
         """Current posterior over the node's labels."""

@@ -1,11 +1,14 @@
 """0/1 knapsack solvers for action selection under a time budget.
 
-``solve_exact`` is the reference oracle: a dynamic program over integral
-costs (or exhaustive enumeration for small instances with fractional
-costs).  ``solve_approx`` is a value-scaling approximation scheme whose
-result value P satisfies (P' - P) / P' < epsilon against the optimum P'.
-Both are pure and deterministic; ties are broken toward the plan with the
-lower total cost and then the lexicographically smallest id set.
+``solve_exact`` is the reference oracle: over integral costs, one suffix
+table of the best value at each exact cost, read for the optimum and then
+walked for the canonical plan; with fractional costs, exhaustive
+enumeration of at most ``ORACLE_LIMIT`` items.  ``solve_approx`` is a
+value-scaling approximation scheme whose result value P satisfies
+(P' - P) / P' < epsilon against the optimum P'; its min-cost row over
+scaled value is updated in place, one item at a time.  Both are pure and
+deterministic; ties are broken toward the plan with the lower total cost
+and then the lexicographically smallest id set.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import ExactSolverLimitError
 
 VALUE_TOL = 1e-9  # relative slack when matching float value sums
 
-DEFAULT_ORACLE_LIMIT = 24
+ORACLE_LIMIT = 24  # most fractional-cost items solve_exact enumerates
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,8 @@ EMPTY_PLAN = Plan(selected=(), total_value=0.0, total_cost=0.0)
 
 
 def _plan_from_ids(inst: KnapsackInstance, ids) -> Plan:
-    chosen = [it for it in inst.items if it.id in set(ids)]
+    ids = set(ids)
+    chosen = [it for it in inst.items if it.id in ids]
     return Plan(
         selected=tuple(sorted(ids)),
         total_value=float(sum(it.value for it in chosen)),
@@ -89,10 +93,10 @@ def _integral_costs(items) -> bool:
     return all(abs(it.cost - round(it.cost)) <= 1e-9 for it in items)
 
 
-def solve_exact(inst: KnapsackInstance, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> Plan:
+def solve_exact(inst: KnapsackInstance) -> Plan:
     """Maximum-value plan within the budget, canonically tie-broken.
 
-    Requires integral costs (dynamic program) or at most ``oracle_limit``
+    Requires integral costs (dynamic program) or at most ``ORACLE_LIMIT``
     items (exhaustive enumeration); anything larger raises
     :class:`ExactSolverLimitError`.
     """
@@ -103,11 +107,11 @@ def solve_exact(inst: KnapsackInstance, oracle_limit: int = DEFAULT_ORACLE_LIMIT
         return EMPTY_PLAN
     if _integral_costs(items):
         return _solve_dp(inst, items)
-    if len(items) <= oracle_limit:
+    if len(items) <= ORACLE_LIMIT:
         return _solve_enum(inst, items)
     raise ExactSolverLimitError(
         f"{len(items)} items with fractional costs exceed the oracle limit "
-        f"{oracle_limit}"
+        f"{ORACLE_LIMIT}"
     )
 
 
@@ -121,48 +125,30 @@ def _solve_dp(inst: KnapsackInstance, items) -> Plan:
     forced = [it for it, w in zip(items, costs) if w == 0 and it.value > 0]
     rest = [(it, w) for it, w in zip(items, costs) if w > 0]
 
-    best_v = np.zeros(cap + 1)
-    best_c = np.zeros(cap + 1, dtype=np.int64)
-    for it, w in rest:
-        if w > cap:
-            continue
-        cand_v = best_v[: cap + 1 - w] + it.value
-        cand_c = best_c[: cap + 1 - w] + w
-        cur_v = best_v[w:]
-        cur_c = best_c[w:]
-        better = cand_v > cur_v
-        tie = cand_v == cur_v
-        best_v[w:] = np.where(better, cand_v, cur_v)
-        best_c[w:] = np.where(better, cand_c, np.where(tie, np.minimum(cur_c, cand_c), cur_c))
-
-    target_v = float(best_v[cap])
-    target_c = int(best_c[cap])
-
-    # suffix tables: m[i][c] = max value from items[i:] at cost exactly c
+    # suffix table: m[i, c] = max value from rest[i:] at cost exactly c
     n = len(rest)
-    neg = -math.inf
-    m = [None] * (n + 1)
-    m[n] = np.full(target_c + 1, neg)
-    m[n][0] = 0.0
+    m = np.full((n + 1, cap + 1), -math.inf)
+    m[n, 0] = 0.0
     for i in range(n - 1, -1, -1):
         it, w = rest[i]
-        cur = m[i + 1].copy()
-        if w <= target_c:
-            shifted = np.full(target_c + 1, neg)
-            shifted[w:] = m[i + 1][: target_c + 1 - w] + it.value
-            cur = np.maximum(cur, shifted)
-        m[i] = cur
+        m[i] = m[i + 1]
+        if w <= cap:
+            np.maximum(m[i, w:], m[i + 1, : cap + 1 - w] + it.value, out=m[i, w:])
 
-    # lexicographically smallest id set among (target_v, target_c) optima:
+    # the optimum: maximum value, then the least cost within tolerance of it
+    vmax = float(m[0].max())
+    tol = VALUE_TOL * max(1.0, abs(vmax))
+    target_c = int(np.flatnonzero(m[0] >= vmax - tol)[0])
+
+    # lexicographically smallest id set among (target value, target_c) optima:
     # walking ids in ascending order, stop as soon as the remainder is zero,
     # otherwise include the item whenever a feasible completion exists
-    tol = VALUE_TOL * max(1.0, abs(target_v))
     sel = []
-    dv, dc = target_v, target_c
+    dv, dc = float(m[0, target_c]), target_c
     for i, (it, w) in enumerate(rest):
         if dc == 0 and abs(dv) <= tol:
             break
-        if w <= dc and m[i + 1][dc - w] >= dv - it.value - tol:
+        if w <= dc and m[i + 1, dc - w] >= dv - it.value - tol:
             sel.append(it.id)
             dv -= it.value
             dc -= w
@@ -229,18 +215,16 @@ def solve_approx(inst: KnapsackInstance, epsilon: float) -> Plan:
     scaled = [int(math.floor(it.value / scale)) for it in items]
     total = sum(scaled)
 
-    inf = math.inf
-    min_cost = np.full(total + 1, inf)
+    min_cost = np.full(total + 1, math.inf)
     min_cost[0] = 0.0
     keep = np.zeros((len(items), total + 1), dtype=bool)
     for i, (it, s) in enumerate(zip(items, scaled)):
         if s == 0:
             continue
-        cand = np.full(total + 1, inf)
-        cand[s:] = min_cost[:-s] + it.cost
-        takes = cand < min_cost  # strict: prefer excluding on cost ties
-        keep[i] = takes
-        min_cost = np.where(takes, cand, min_cost)
+        cand = min_cost[:-s] + it.cost
+        takes = keep[i, s:]
+        np.less(cand, min_cost[s:], out=takes)  # strict: prefer excluding on cost ties
+        np.copyto(min_cost[s:], cand, where=takes)
 
     reachable = np.flatnonzero(min_cost <= inst.budget)
     best_s = int(reachable.max())
@@ -272,12 +256,12 @@ def enumerate_optima(
         raise ExactSolverLimitError(f"{len(items)} items exceed limit {oracle_limit}")
     best = solve_exact(inst)
     tol = VALUE_TOL * max(1.0, abs(best.total_value))
-    found = []
-    for mask in range(1 << len(items)):
-        ids = [items[i].id for i in range(len(items)) if mask >> i & 1]
-        cost = sum(it.cost for it in items if it.id in set(ids))
-        value = sum(it.value for it in items if it.id in set(ids))
-        if cost <= inst.budget and value >= best.total_value - tol:
-            found.append(_plan_from_ids(inst, ids))
+    values = _subset_sums(np.array([it.value for it in items]))
+    costs = _subset_sums(np.array([it.cost for it in items]))
+    masks = np.flatnonzero((costs <= inst.budget) & (values >= best.total_value - tol))
+    found = [
+        _plan_from_ids(inst, [it.id for i, it in enumerate(items) if k >> i & 1])
+        for k in masks.tolist()
+    ]
     found.sort(key=lambda p: (p.total_cost, p.selected))
     return found[:limit]

@@ -263,6 +263,40 @@ def test_skipped_propagates_match_one_propagate(seed):
                 assert np.array_equal(stepped.belief(nid), once.belief(nid)), nid
 
 
+def test_propagate_leaves_unchanged_components_alone():
+    """Evidence on one component recomputes that component only; the other
+    keeps its belief arrays, and every belief equals a fresh net's."""
+    rows = [[0.9, 0.1], [0.2, 0.8]]
+
+    def build(late_evidence):
+        net = BayesNet()
+        for nid, priors in (("a", (0.7, 0.3)), ("b", (0.5, 0.5)),
+                            ("c", (0.4, 0.6)), ("d", (0.5, 0.5))):
+            net.instantiate_node(hs(*priors, labels=(f"{nid}0", f"{nid}1")), node_id=nid)
+        for parent, child in (("a", "b"), ("c", "d")):
+            net.link(parent, child,
+                     table(net.node(parent).labels, net.node(child).labels, rows))
+        net.attach_evidence("d", [0.3, 0.9])
+        if late_evidence:
+            net.attach_evidence("b", [0.8, 0.1])
+        return net
+
+    net = build(late_evidence=False)
+    net.propagate()
+    untouched = {nid: net.node(nid).belief for nid in ("c", "d")}
+    touched = {nid: net.node(nid).belief for nid in ("a", "b")}
+    net.attach_evidence("b", [0.8, 0.1])
+    net.propagate()
+    for nid, belief in untouched.items():
+        assert net.node(nid).belief is belief, nid
+    for nid, belief in touched.items():
+        assert net.node(nid).belief is not belief, nid
+    fresh = build(late_evidence=True)
+    fresh.propagate()
+    for nid in fresh.nodes:
+        assert np.array_equal(net.belief(nid), fresh.belief(nid)), nid
+
+
 def test_snapshot_round_trip():
     net = BayesNet()
     a = net.instantiate_node(hs(0.7, 0.3), node_id="a")

@@ -87,7 +87,7 @@ class TestExact:
     def test_fractional_costs_above_limit_raise(self):
         items = tuple(KnapsackItem(f"i{k}", 1.0, 0.5 + k) for k in range(30))
         with pytest.raises(ExactSolverLimitError):
-            solve_exact(KnapsackInstance(items=items, budget=100.0), oracle_limit=24)
+            solve_exact(KnapsackInstance(items=items, budget=100.0))
 
     def test_determinism(self):
         rng = np.random.default_rng(11)
@@ -152,6 +152,36 @@ class TestApprox:
         rng = np.random.default_rng(9)
         inst = random_instance(rng, max_n=14)
         assert solve_approx(inst, 0.1) == solve_approx(inst, 0.1)
+
+    # selected item indices frozen from the solver; instances are built the
+    # way the tiled brigade world's steps look: ~100 items, the brigade's
+    # action costs, its 5720 budget, and values from a small set so that
+    # equal-value items tie and exercise the strict-< exclusion rule
+    PINNED_PLANS = {
+        0: [9, 16, 17, 27, 37, 45, 50, 52, 67, 73, 78, 83, 87, 93, 95, 97, 98,
+            99, 102, 109],
+        1: [1, 3, 6, 8, 13, 20, 24, 25, 29, 33, 41, 47, 49, 53, 58, 79, 84],
+        2: [17, 25, 31, 33, 38, 40, 52, 72, 82, 83, 90, 105],
+        3: [3, 8, 37, 42, 45, 46, 54, 61, 62, 64, 66, 79, 85, 94],
+        4: [8, 10, 16, 21, 35, 37, 40, 47, 48, 50, 52, 58, 62, 68, 69, 72, 77,
+            102],
+        5: [0, 9, 13, 15, 22, 24, 25, 28, 36, 51, 55, 58, 68, 73, 74, 78, 92, 96],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_PLANS))
+    def test_pinned_plans_at_tiled_scale(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(60, 121))
+        items = tuple(
+            KnapsackItem(
+                f"a{k:03d}",
+                float(rng.choice((0.0, 0.125, 0.5, 0.75, 2.0, 3.5))),
+                float(rng.choice((210, 400, 820, 1320, 2100))),
+            )
+            for k in range(n)
+        )
+        plan = solve_approx(KnapsackInstance(items=items, budget=5720.0), 0.02)
+        assert plan.selected == tuple(f"a{k:03d}" for k in self.PINNED_PLANS[seed])
 
 
 class TestSweep:

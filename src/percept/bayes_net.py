@@ -2,11 +2,15 @@
 
 The net is kept singly connected (a polytree): every :meth:`BayesNet.link`
 call that would create an undirected cycle is rejected, so propagation by
-message passing is always exact.  After a change to nodes, edges or
-evidence, the posteriors of each changed component are recomputed by a
-deterministic two-sweep (leaves to root, then root to leaves) over its
-factor tree; messages are renormalized after every hop to guard against
-underflow on long chains of small likelihoods.
+message passing is always exact.  Factors are named by the node that
+owns them: ``("cpt", n)`` is p(n | parents), or n's prior at a root, and
+``("ev", n)`` is the product of n's likelihoods.  After a change to nodes,
+edges or evidence, the posteriors of each changed component are recomputed
+by a deterministic, iterative two-sweep (leaves to root, then root to
+leaves) over that component's factor tree; priors and evidence factors
+send their message but receive none, since no belief reads it.  Messages
+are renormalized after every hop to guard against underflow on long chains
+of small likelihoods.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ class BayesNet:
         self._parents: dict[str, list[tuple[str, ConditionalTable]]] = {}
         self._children: dict[str, list[str]] = {}
         self._edges: list[NetEdge] = []
+        self._rank: dict[str, int] = {}  # insertion position: orders factors
         self._cpts: dict[str, np.ndarray] = {}  # p(node | all its parents), set by link
         self._dirty: set[str] = set()  # nodes touched since the last propagate
 
@@ -77,6 +82,7 @@ class BayesNet:
             prior=prior,
             belief=prior.copy(),
         )
+        self._rank[node_id] = len(self._rank)
         self._parents[node_id] = []
         self._children[node_id] = []
         self._dirty.add(node_id)
@@ -197,17 +203,23 @@ class BayesNet:
             )
         return arr / norm
 
-    def _build_factors(self):
-        factors = []
-        for nid, node in self.nodes.items():
-            ps = self._parents[nid]
-            if ps:
-                factors.append(((nid, *(p for p, _ in ps)), self._cpts[nid]))
-            else:
-                factors.append(((nid,), node.prior))
-            if node.evidence is not None:
-                factors.append(((nid,), node.evidence))
-        return factors
+    def _factor(self, key: tuple[str, str]) -> tuple[tuple[str, ...], np.ndarray]:
+        """Variables and table of a node-named factor: ``("cpt", n)`` is
+        p(n | parents), or n's prior at a root; ``("ev", n)`` is n's evidence."""
+        kind, n = key
+        if kind == "ev":
+            return (n,), self.nodes[n].evidence
+        ps = self._parents[n]
+        if not ps:
+            return (n,), self.nodes[n].prior
+        return (n, *(p for p, _ in ps)), self._cpts[n]
+
+    def _node_factors(self, n: str) -> list[tuple[str, str]]:
+        """The factors over n, ordered by owner insertion, cpt before ev."""
+        fs = [("cpt", n), *(("cpt", c) for c in self._children[n])]
+        if self.nodes[n].evidence is not None:
+            fs.append(("ev", n))
+        return sorted(fs, key=lambda f: (self._rank[f[1]], f[0]))
 
     def propagate(self) -> None:
         """Recompute the exact posterior marginals of every component that
@@ -216,19 +228,14 @@ class BayesNet:
         subtree, so they would come out bit for bit the same)."""
         if not self._dirty:
             return
-        factors = self._build_factors()
-        var_factors: dict[str, list[int]] = {nid: [] for nid in self.nodes}
-        for fi, (vs, _) in enumerate(factors):
-            for v in vs:
-                var_factors[v].append(fi)
+        factors: dict[str, list[tuple[str, str]]] = {}  # node -> factors over it
+        messages: dict[tuple, np.ndarray] = {}  # (sender, receiver) -> message
 
-        messages: dict[tuple, np.ndarray] = {}
-
-        def var_to_factor(v, fi):
+        def var_to_factor(v, f):
             out = np.ones(len(self.nodes[v].labels))
-            for other in var_factors[v]:
-                if other != fi:
-                    out = out * messages[("f", other, v)]
+            for g in factors[v]:
+                if g != f:
+                    out = out * messages[g, v]
             s = out.sum()
             if s <= 0:
                 raise InconsistentEvidenceError(
@@ -236,13 +243,12 @@ class BayesNet:
                 )
             return out / s
 
-        def factor_to_var(fi, v):
-            vs, arr = factors[fi]
-            a = arr
+        def factor_to_var(f, v):
+            vs, a = self._factor(f)
             for ax, u in enumerate(vs):
                 if u == v:
                     continue
-                m = messages[("v", u, fi)]
+                m = messages[u, f]
                 view = [1] * a.ndim
                 view[ax] = len(m)
                 a = a * m.reshape(view)
@@ -256,57 +262,50 @@ class BayesNet:
                 )
             return out / s
 
-        seen: set[str] = set()
         for root in sorted(self._dirty):
-            if root in seen:
+            if root in factors:
                 continue
-            # BFS over the bipartite factor tree of this component
-            order = [("v", root)]
-            tree_parent: dict[tuple, tuple | None] = {("v", root): None}
-            i = 0
-            while i < len(order):
-                kind, key = order[i]
-                i += 1
-                if kind == "v":
-                    seen.add(key)
-                    neigh = [("f", fi) for fi in var_factors[key]]
-                else:
-                    neigh = [("v", u) for u in factors[key][0]]
-                for nxt in neigh:
-                    if nxt not in tree_parent:
-                        tree_parent[nxt] = (kind, key)
-                        order.append(nxt)
+            # BFS over the component: each node records the factor it was
+            # reached through (up) and the factors below it, each with the
+            # nodes it leads on to
+            order, up, below = [root], {root: None}, {}
+            for v in order:
+                factors[v] = self._node_factors(v)
+                below[v] = [
+                    (f, [u for u in self._factor(f)[0] if u != v])
+                    for f in factors[v]
+                    if f != up[v]
+                ]
+                for f, rest in below[v]:
+                    for u in rest:
+                        up[u] = f
+                        order.append(u)
             # upward sweep: leaves toward the root
-            for kind, key in reversed(order[1:]):
-                parent = tree_parent[(kind, key)]
-                if kind == "v":
-                    messages[("v", key, parent[1])] = var_to_factor(key, parent[1])
-                else:
-                    messages[("f", key, parent[1])] = factor_to_var(key, parent[1])
-            # downward sweep: root toward the leaves
-            for kind, key in order:
-                parent = tree_parent[(kind, key)]
-                if kind == "v":
-                    for fi in var_factors[key]:
-                        if parent is None or fi != parent[1]:
-                            messages[("v", key, fi)] = var_to_factor(key, fi)
-                else:
-                    for u in factors[key][0]:
-                        if parent is None or u != parent[1]:
-                            messages[("f", key, u)] = factor_to_var(key, u)
+            for v in reversed(order):
+                for f, _ in below[v]:
+                    messages[f, v] = factor_to_var(f, v)
+                if up[v] is not None:
+                    messages[v, up[v]] = var_to_factor(v, up[v])
+            # downward sweep: root toward the leaves; a one-variable factor
+            # (prior or evidence) leads nowhere and gets no message, as no
+            # belief reads it
+            for v in order:
+                for f, rest in below[v]:
+                    if rest:
+                        messages[v, f] = var_to_factor(v, f)
+                    for u in rest:
+                        messages[f, u] = factor_to_var(f, u)
 
-        for nid, node in self.nodes.items():
-            if nid not in seen:
-                continue
-            out = np.ones(len(node.labels))
-            for fi in var_factors[nid]:
-                out = out * messages[("f", fi, nid)]
+        for v, fs in factors.items():
+            out = np.ones(len(self.nodes[v].labels))
+            for f in fs:
+                out = out * messages[f, v]
             s = out.sum()
             if s <= 0:
                 raise InconsistentEvidenceError(
-                    f"posterior for {nid!r} has zero total probability"
+                    f"posterior for {v!r} has zero total probability"
                 )
-            node.belief = out / s
+            self.nodes[v].belief = out / s
         self._dirty.clear()
 
     def belief(self, node_id: str) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import world as world_sim
 from .bayes_net import BayesNet
-from .errors import ScenarioError, UnknownIdError
+from .errors import ScenarioError
 from .model_base import ControlConfig, ModelBase
 from .planner import KnapsackInstance, KnapsackItem, Plan, solve_approx
 from .valuation import ActionInstance, Valuer, ValueMode
@@ -163,10 +163,7 @@ class Controller:
         self.bindings: dict[str, world_sim.Binding] = {}
         self.node_group: dict[str, str] = {}
         self.node_seq: dict[str, int] = {}
-        self.init_priors: dict[str, np.ndarray] = {}
         self.fired: set[tuple[str, str]] = set()
-        self._adopted: set[str] = set()
-        self._active: dict[str, ActionInstance] = {}
         self._template_index = {t.id: i for i, t in enumerate(model_base.actions)}
         self.clock = 0
         self.steps: list[StepRecord] = []
@@ -192,7 +189,6 @@ class Controller:
             node_id = f"u{k + 1}"
             self.net.instantiate_node(cluster.seed, refs, node_id=node_id)
             self._register(node_id, leaf)
-            self.init_priors[node_id] = np.array(cluster.seed.priors)
             self.bindings[node_id] = world_sim.bind_cluster(
                 self.world, cluster, unit_types
             )
@@ -258,21 +254,19 @@ class Controller:
         return lam
 
     def _adopt(self, parent_id: str, child_id: str, cpt) -> None:
-        """Link an existing root node under a new parent.
+        """Link an existing node under a new parent.
 
-        The child's instantiation prior encoded real detection evidence; it
-        is converted into an equivalent likelihood before the parent's
-        causal message supersedes it, so no information is lost.
+        A root's instantiation prior may encode real detection evidence; on
+        its first link it is converted into an equivalent likelihood before
+        the parent's causal message supersedes it, so no information is lost.
         """
-        if child_id not in self._adopted:
-            w = self.init_priors.get(child_id)
-            if w is not None:
-                group = self.node_group[child_id]
-                base = np.array(self.mb.hypothesis_set(group).priors)
-                if not np.allclose(w, base, atol=1e-12):
-                    adj = np.divide(w, base, out=np.zeros_like(w), where=base > 0)
-                    self.net.attach_evidence(child_id, adj)
-            self._adopted.add(child_id)
+        if not self.net.parents(child_id):
+            w = self.net.node(child_id).prior
+            group = self.node_group[child_id]
+            base = np.array(self.mb.hypothesis_set(group).priors)
+            if not np.allclose(w, base, atol=1e-12):
+                adj = np.divide(w, base, out=np.zeros_like(w), where=base > 0)
+                self.net.attach_evidence(child_id, adj)
         self.net.link(parent_id, child_id, cpt)
 
     def _parent_cpt(self, child_group: str, parent_group: str):
@@ -326,15 +320,6 @@ class Controller:
             lam = self._likelihood_from_outcome(table, result.outcome)
             self.net.attach_evidence(action.target_node, lam)
         self.net.propagate()
-
-    def on_completion(self, action_id: str, outcome: str) -> None:
-        """Asynchronous return path: resolve an in-flight action by id."""
-        action = self._active.get(action_id)
-        if action is None:
-            raise UnknownIdError(f"action {action_id!r} is not in flight")
-        self.apply_completion(
-            action, world_sim.ActionResult(outcome=outcome, duration=action.cost)
-        )
 
     def _keyed_rng(
         self, stream: int, step: int, action: ActionInstance
@@ -402,7 +387,6 @@ class Controller:
         selected = set(plan.selected)
         ordered = [c for c in candidates if c.id in selected]
         pool = SimulatedPool(self.config.processors, clock=self.clock)
-        self._active = {c.id: c for c in ordered}
         pool.submit(ordered, [self._duration(index, c) for c in ordered])
 
         completions: list[tuple[str, str, int]] = []
@@ -427,7 +411,6 @@ class Controller:
                 break
         self.clock = pool.clock
         self.fired.update((a.target_node, a.template_id) for a in pool.dispatched)
-        self._active = {}
         return StepRecord(
             index=index,
             candidates=candidates,

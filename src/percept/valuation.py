@@ -81,14 +81,10 @@ class Valuer:
         self,
         net: BayesNet,
         model_base: ModelBase,
-        goal_values: dict[str, float] | None = None,
         mode: ValueMode = ValueMode.OUTCOME_MARGINAL,
     ):
         self.net = net
         self.mb = model_base
-        self.goal_values = dict(
-            model_base.goal_values if goal_values is None else goal_values
-        )
         self.mode = mode
         self.posterior_evals = 0  # contractions: one per (action, parent context)
         self._node_values: dict[str, np.ndarray] = {}
@@ -114,7 +110,7 @@ class Valuer:
         group = self._node_group(node_id)
         if group == self.mb.goal_group:
             vec = np.array(
-                [self.goal_values.get(lab, 0.0) for lab in node.labels]
+                [self.mb.goal_values.get(lab, 0.0) for lab in node.labels]
             )
         else:
             parents = self.net.parents(node_id)
@@ -139,7 +135,7 @@ class Valuer:
             return self._group_values[group]
         hs = self.mb.hypothesis_set(group)
         if group == self.mb.goal_group:
-            vec = np.array([self.goal_values.get(lab, 0.0) for lab in hs.labels])
+            vec = np.array([self.mb.goal_values.get(lab, 0.0) for lab in hs.labels])
         else:
             parent_edges = self.mb.group_parents.get(group, ())
             if not parent_edges:

@@ -297,6 +297,35 @@ def test_propagate_leaves_unchanged_components_alone():
         assert np.array_equal(net.belief(nid), fresh.belief(nid)), nid
 
 
+def test_long_chain_propagates_without_recursion():
+    """Evidence at the tail of a 2000-node chain reaches the head; beliefs
+    match a plain-float forward-backward pass."""
+    n, prior, ev = 2000, [0.3, 0.7], [0.9, 0.2]
+    rows = [[0.9999, 0.0001], [0.0002, 0.9998]]
+    labels = ("x0", "x1")
+    net = BayesNet()
+    ids = [net.instantiate_node(hs(*prior, labels=labels)) for _ in range(n)]
+    for parent, child in reversed(list(zip(ids, ids[1:]))):
+        net.link(parent, child, table(labels, labels, rows))
+    net.attach_evidence(ids[-1], ev)
+    net.propagate()
+
+    def normalized(v):
+        return [x / sum(v) for x in v]
+
+    lam = ev
+    for _ in range(n - 1):
+        lam = normalized([sum(r * l for r, l in zip(row, lam)) for row in rows])
+    head = normalized([p * l for p, l in zip(prior, lam)])
+    pi = prior
+    for _ in range(n - 1):
+        pi = normalized([sum(pi[i] * rows[i][j] for i in range(2)) for j in range(2)])
+    tail = normalized([p * e for p, e in zip(pi, ev)])
+    assert abs(head[0] - prior[0]) > 0.05  # the evidence reached the head
+    assert np.allclose(net.belief(ids[0]), head, rtol=0, atol=1e-9)
+    assert np.allclose(net.belief(ids[-1]), tail, rtol=0, atol=1e-9)
+
+
 def test_snapshot_round_trip():
     net = BayesNet()
     a = net.instantiate_node(hs(0.7, 0.3), node_id="a")

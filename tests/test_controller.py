@@ -18,7 +18,6 @@ from percept.controller import (
     recorded_plans,
     replay_scenario,
 )
-from percept.errors import UnknownIdError
 from percept.model_base import ControlConfig, HypothesisSet, build_model_base, load_scenario
 from percept.valuation import ActionInstance
 from percept.world import ActionResult
@@ -287,13 +286,6 @@ class TestBundledRun:
 
 
 class TestCompletionHandling:
-    def test_unknown_action_id(self):
-        mb = build_model_base(tiny_scenario(units=1))
-        ctl = Controller(mb)
-        ctl.initialize()
-        with pytest.raises(UnknownIdError):
-            ctl.on_completion("ghost:probe", "is-thing")
-
     def test_uniform_outcome_slice_leaves_beliefs_unchanged(self):
         raw = tiny_scenario(units=1)
         raw["outcome_tables"]["flat"] = {

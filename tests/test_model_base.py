@@ -1,5 +1,6 @@
 """Scenario loading, validation, and model-space lookups."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -73,6 +74,14 @@ class TestLoad:
 
     def test_load_is_deterministic(self):
         assert load_scenario(BRIGADE) == load_scenario(BRIGADE)
+
+    def test_generator_reproduces_bundle(self):
+        path = BRIGADE.parents[3] / "tools" / "gen_brigade_scenario.py"
+        spec = importlib.util.spec_from_file_location("gen_brigade_scenario", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        built = json.dumps(gen.build(), indent=1) + "\n"
+        assert built == BRIGADE.read_text(encoding="utf-8")
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError):

@@ -106,6 +106,8 @@ class BayesNet:
 
         Rejects any edge that would leave the undirected skeleton cyclic,
         reporting the existing path between the two nodes as the witness.
+        The search starts from ``parent`` and is skipped when ``child`` has no
+        neighbours, so growing a chain from either end walks no component.
         """
         pnode, cnode = self.node(parent), self.node(child)
         if table.parent_labels != pnode.labels:
@@ -136,6 +138,8 @@ class BayesNet:
     def _undirected_path(self, a: str, b: str) -> list[str] | None:
         if a == b:
             return [a]
+        if not (self._parents[b] or self._children[b]):  # b has no neighbour
+            return None
         prev = {a: None}
         frontier = [a]
         while frontier:

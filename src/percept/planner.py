@@ -6,9 +6,12 @@ walked for the canonical plan; with fractional costs, exhaustive
 enumeration of at most ``ORACLE_LIMIT`` items.  ``solve_approx`` is a
 value-scaling approximation scheme whose result value P satisfies
 (P' - P) / P' < epsilon against the optimum P'; its min-cost row over
-scaled value is updated in place, one item at a time.  Both are pure and
-deterministic; ties are broken toward the plan with the lower total cost
-and then the lexicographically smallest id set.
+scaled value is updated in place, one item at a time.  That row and its
+``keep`` table stop at the Dantzig (LP relaxation) bound on the scaled
+value a plan within the budget can reach, so memory is N x bound rather
+than N x (sum of scaled values).  Both are pure and deterministic; ties
+are broken toward the plan with the lower total cost and then the
+lexicographically smallest id set.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import ExactSolverLimitError
 VALUE_TOL = 1e-9  # relative slack when matching float value sums
 
 ORACLE_LIMIT = 24  # most fractional-cost items solve_exact enumerates
+OPTIMA_LIMIT = 20  # most items enumerate_optima enumerates
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class KnapsackInstance:
         ids = [it.id for it in self.items]
         if len(set(ids)) != len(ids):
             raise ValueError("knapsack item ids must be distinct")
-        if self.budget < 0:
+        if not self.budget >= 0:  # also rejects nan, which no comparison passes
             raise ValueError(f"budget must be >= 0, got {self.budget}")
 
     @staticmethod
@@ -194,13 +198,37 @@ def _solve_enum(inst: KnapsackInstance, items) -> Plan:
     return _plan_from_ids(inst, best[2])
 
 
+def _dantzig_bound(scaled: list[int], costs: list[float], budget: float) -> int:
+    """Upper bound on the scaled value of any plan within ``budget``.
+
+    The optimum of the LP relaxation (Dantzig): items by falling density
+    ``scaled / cost`` (zero cost counts as infinite), whole until the budget
+    breaks, then a fractional share of the break item.  Floored plus one, so
+    float rounding cannot put it below the exact rational bound.
+    """
+    by_density = sorted(
+        zip(scaled, costs), key=lambda sc: -sc[0] / sc[1] if sc[1] else -math.inf
+    )
+    fit = 0
+    for s, c in by_density:
+        if c > budget:
+            return int(fit + budget * s / c) + 1
+        fit += s
+        budget -= c
+    return fit
+
+
 def solve_approx(inst: KnapsackInstance, epsilon: float) -> Plan:
     """Approximate plan with relative value error strictly below ``epsilon``.
 
     Value-scaling scheme: values are scaled by K = epsilon * Vmax / N and
     floored, then a min-cost dynamic program over scaled value recovers a
-    plan whose true value P satisfies (P' - P)/P' < epsilon.  Deterministic
-    for fixed input; zero-value items are never selected.
+    plan whose true value P satisfies (P' - P)/P' < epsilon.  The table
+    stops at the Dantzig bound U on the scaled value a plan within the
+    budget can reach, so it holds N x (U + 1) cells; every cell up to U,
+    and so the plan, is what the full table over all scaled sums would
+    give.  Deterministic for fixed input; zero-value items are never
+    selected.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -213,11 +241,14 @@ def solve_approx(inst: KnapsackInstance, epsilon: float) -> Plan:
     vmax = max(it.value for it in items)
     scale = epsilon * vmax / len(items)
     scaled = [int(math.floor(it.value / scale)) for it in items]
-    total = sum(scaled)
+    top = _dantzig_bound(scaled, [it.cost for it in items], inst.budget)
 
-    min_cost = np.full(total + 1, math.inf)
+    # cell s reads only cells below s, so cutting the table at top changes
+    # no cell at or below it; every item fits the budget alone, so none is
+    # scaled above top
+    min_cost = np.full(top + 1, math.inf)
     min_cost[0] = 0.0
-    keep = np.zeros((len(items), total + 1), dtype=bool)
+    keep = np.zeros((len(items), top + 1), dtype=bool)
     for i, (it, s) in enumerate(zip(items, scaled)):
         if s == 0:
             continue
@@ -246,14 +277,13 @@ def plan_sweep(items, budgets) -> list[Plan]:
     return [solve_exact(KnapsackInstance(items=items, budget=b)) for b in budgets]
 
 
-def enumerate_optima(
-    inst: KnapsackInstance, limit: int = 10, oracle_limit: int = 20
-) -> list[Plan]:
+def enumerate_optima(inst: KnapsackInstance, limit: int = 10) -> list[Plan]:
     """Up to ``limit`` optimal plans (the paper's equivalence class), canonical
-    order.  Exhaustive; intended for small instances only."""
+    order.  Exhaustive over at most ``OPTIMA_LIMIT`` items that fit the
+    budget; more raise :class:`ExactSolverLimitError`."""
     items = [it for it in inst.items if it.cost <= inst.budget]
-    if len(items) > oracle_limit:
-        raise ExactSolverLimitError(f"{len(items)} items exceed limit {oracle_limit}")
+    if len(items) > OPTIMA_LIMIT:
+        raise ExactSolverLimitError(f"{len(items)} items exceed limit {OPTIMA_LIMIT}")
     best = solve_exact(inst)
     tol = VALUE_TOL * max(1.0, abs(best.total_value))
     values = _subset_sums(np.array([it.value for it in items]))

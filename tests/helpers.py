@@ -1,8 +1,9 @@
 """Independent oracles and little builders shared by the test modules.
 
 The oracles here deliberately avoid the library's own inference paths:
-marginals come from full-joint enumeration with plain Python floats, and
-knapsack optima from exhaustive subset enumeration.
+marginals come from full-joint enumeration with plain Python floats,
+knapsack optima from exhaustive subset enumeration, and approximate plans
+from the value-scaling solver over its full, unbounded table.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from percept.bayes_net import BayesNet
 from percept.model_base import ConditionalTable, HypothesisSet
+from percept.planner import EMPTY_PLAN, KnapsackInstance, Plan, _plan_from_ids
 
 
 # -- polytree specification + enumeration oracle -----------------------------
@@ -231,3 +233,49 @@ def brute_force_knapsack(items, budget):
         if best is None or key < best:
             best = key
     return -best[0], best[1], best[2]
+
+
+# The value-scaling solver as it was before its table was cut at the
+# Dantzig bound: min_cost and keep span every scaled value sum.  Kept
+# verbatim as the reference the bounded solver must match plan for plan.
+def unbounded_solve_approx(inst: KnapsackInstance, epsilon: float) -> Plan:
+    """Approximate plan with relative value error strictly below ``epsilon``.
+
+    Value-scaling scheme: values are scaled by K = epsilon * Vmax / N and
+    floored, then a min-cost dynamic program over scaled value recovers a
+    plan whose true value P satisfies (P' - P)/P' < epsilon.  Deterministic
+    for fixed input; zero-value items are never selected.
+    """
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    items = sorted(
+        (it for it in inst.items if it.cost <= inst.budget and it.value > 0),
+        key=lambda it: it.id,
+    )
+    if not items:
+        return EMPTY_PLAN
+    vmax = max(it.value for it in items)
+    scale = epsilon * vmax / len(items)
+    scaled = [int(math.floor(it.value / scale)) for it in items]
+    total = sum(scaled)
+
+    min_cost = np.full(total + 1, math.inf)
+    min_cost[0] = 0.0
+    keep = np.zeros((len(items), total + 1), dtype=bool)
+    for i, (it, s) in enumerate(zip(items, scaled)):
+        if s == 0:
+            continue
+        cand = min_cost[:-s] + it.cost
+        takes = keep[i, s:]
+        np.less(cand, min_cost[s:], out=takes)  # strict: prefer excluding on cost ties
+        np.copyto(min_cost[s:], cand, where=takes)
+
+    reachable = np.flatnonzero(min_cost <= inst.budget)
+    best_s = int(reachable.max())
+    sel = []
+    s = best_s
+    for i in range(len(items) - 1, -1, -1):
+        if keep[i, s]:
+            sel.append(items[i].id)
+            s -= scaled[i]
+    return _plan_from_ids(inst, sel)

@@ -72,6 +72,38 @@ class TestLink:
         # witness names the existing path between the two endpoints
         assert "b" in str(err.value) and "c" in str(err.value)
 
+    def test_links_to_a_lone_node_walk_no_component(self):
+        """A link with an endpoint that has no neighbours cannot close a
+        cycle, so it reads the neighbours of its two endpoints only."""
+
+        class Reads(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        labels, rows = ("h0", "h1"), [[0.9, 0.1], [0.2, 0.8]]
+        net = BayesNet()
+        ids = [net.instantiate_node(hs(0.5, 0.5), node_id=f"n{i}") for i in range(8)]
+        for parent, child in zip(ids[1:6], ids[2:7]):
+            net.link(parent, child, table(labels, labels, rows))
+        net._parents, net._children = Reads(net._parents), Reads(net._children)
+        for parent, child in (("n6", "n7"), ("n0", "n1")):
+            read = set()
+            net.link(parent, child, table(labels, labels, rows))
+            assert read == {parent, child}
+        with pytest.raises(PolytreeError, match="existing path: n0 - n1 - n2 - n3$"):
+            net.link("n0", "n3", table(labels, labels, rows))
+
+    def test_rejected_cpt_leaves_components_apart(self):
+        net = BayesNet()
+        a, b, c = (net.instantiate_node(hs(0.5, 0.5), node_id=n) for n in "abc")
+        eye, swap = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]
+        net.link(a, c, table(("h0", "h1"), ("h0", "h1"), eye))
+        with pytest.raises(InconsistentEvidenceError):
+            net.link(b, c, table(("h0", "h1"), ("h0", "h1"), swap))
+        net.link(c, b, table(("h0", "h1"), ("h0", "h1"), eye))
+        assert [(e.parent, e.child) for e in net.edges()] == [("a", "c"), ("c", "b")]
+
     def test_cycle_rejected(self):
         net = BayesNet()
         a = net.instantiate_node(hs(0.5, 0.5))
@@ -324,6 +356,27 @@ def test_long_chain_propagates_without_recursion():
     assert abs(head[0] - prior[0]) > 0.05  # the evidence reached the head
     assert np.allclose(net.belief(ids[0]), head, rtol=0, atol=1e-9)
     assert np.allclose(net.belief(ids[-1]), tail, rtol=0, atol=1e-9)
+
+
+def test_chain_linked_head_first_matches_tail_first():
+    """Growing a 2000-node chain from its head, each link joining the whole
+    chain so far, gives the net a tail-first build gives."""
+    n, rows, labels = 2000, [[0.9, 0.1], [0.2, 0.8]], ("x0", "x1")
+
+    def build(head_first):
+        net = BayesNet()
+        ids = [net.instantiate_node(hs(0.3, 0.7, labels=labels)) for _ in range(n)]
+        pairs = list(zip(ids, ids[1:]))
+        for parent, child in pairs if head_first else reversed(pairs):
+            net.link(parent, child, table(labels, labels, rows))
+        net.attach_evidence(ids[-1], [0.9, 0.2])
+        net.propagate()
+        return net
+
+    head, tail = build(True), build(False)
+    assert set(head.edges()) == set(tail.edges())
+    for nid in head.nodes:
+        assert np.array_equal(head.belief(nid), tail.belief(nid)), nid
 
 
 def test_snapshot_round_trip():

@@ -118,6 +118,13 @@ class TestKnapsack:
     def test_missing_instance_file(self, capsys):
         assert main(["knapsack", "--instance", "/no/such.json", "--exact"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--exact", "--epsilon=0.1"])
+    @pytest.mark.parametrize("budget", [float("nan"), "nan"])
+    def test_nan_budget_exits_one(self, tmp_path, capsys, flag, budget):
+        p = self.write(tmp_path, dict(STEP1_INSTANCE, budget_T=budget))
+        assert main(["knapsack", "--instance", str(p), flag]) == 1
+        assert "error: budget must be >= 0, got nan" in capsys.readouterr().err
+
     def test_epsilon_zero_exits_one(self, tmp_path, capsys):
         p = self.write(tmp_path, STEP1_INSTANCE)
         assert main(["knapsack", "--instance", str(p), "--epsilon", "0"]) == 1

@@ -1,15 +1,21 @@
 """Exact knapsack oracle, approximation guarantee, and budget sweeps."""
 
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_knapsack
+from helpers import brute_force_knapsack, unbounded_solve_approx
 from percept.errors import ExactSolverLimitError
 from percept.planner import (
+    OPTIMA_LIMIT,
     KnapsackInstance,
     KnapsackItem,
+    _dantzig_bound,
     enumerate_optima,
     plan_sweep,
     solve_approx,
@@ -100,6 +106,13 @@ class TestExact:
                 items=(KnapsackItem("a", 1, 1), KnapsackItem("a", 2, 2)), budget=3
             )
 
+    @pytest.mark.parametrize("budget", [math.nan, -1.0])
+    def test_budget_must_be_a_number_at_least_zero(self, budget):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            KnapsackInstance(items=STEP1_ITEMS, budget=budget)
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            KnapsackInstance.from_dict({"items": [], "budget_T": budget})
+
 
 class TestApprox:
     def test_single_dominant_item(self):
@@ -184,6 +197,113 @@ class TestApprox:
         assert plan.selected == tuple(f"a{k:03d}" for k in self.PINNED_PLANS[seed])
 
 
+BRIGADE_COSTS = (210.0, 400.0, 820.0, 1320.0)
+
+
+def mixed_instance(rng, tiled):
+    """A random instance for the bounded table: at tiled scale, the shape of
+    a tiled brigade step (60-120 items, the brigade's costs, its 5720
+    budget, epsilon 0.02); otherwise a small one mixing zero, integral and
+    fractional costs, equal densities and budgets of 0, 5720 and inf."""
+    if tiled:
+        n = int(rng.integers(60, 121))
+        costs = rng.choice(BRIGADE_COSTS, n)
+        if rng.random() < 0.5:
+            values = rng.choice((0.0, 0.125, 0.5, 0.75, 2.0, 3.5), n)
+        else:
+            values = rng.random(n) * 4.0
+        return KnapsackInstance(
+            items=tuple(
+                KnapsackItem(f"a{k:03d}", float(v), float(c))
+                for k, (v, c) in enumerate(zip(values, costs))
+            ),
+            budget=5720.0,
+        ), 0.02
+    items = []
+    for k in range(int(rng.integers(1, 21))):
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            cost = 0.0
+        elif kind == 1:
+            cost = float(rng.integers(1, 200)) + float(rng.random())
+        else:
+            cost = float(rng.choice((5, 10, 20, 210, 400, 820, 1320)))
+        if rng.random() < 0.3:
+            value = 2.0 * cost  # one shared density
+        else:
+            value = float(rng.integers(0, 60))
+        items.append(KnapsackItem(f"i{k:02d}", value, cost))
+    total = sum(it.cost for it in items)
+    budget = [0.0, 5720.0, math.inf, float(rng.integers(0, int(total) + 2))][
+        int(rng.integers(0, 4))
+    ]
+    eps = float(rng.choice((0.5, 0.3, 0.1, 0.02)))
+    return KnapsackInstance(items=tuple(items), budget=budget), eps
+
+
+def exact_dantzig_bound(scaled, costs, budget):
+    """The LP relaxation's optimum in exact rationals."""
+    if budget == math.inf:
+        return Fraction(sum(scaled))
+    room, fit = Fraction(budget), Fraction(0)
+    pairs = sorted(
+        zip(scaled, costs),
+        key=lambda sc: (sc[1] > 0, -Fraction(sc[0]) / Fraction(sc[1]) if sc[1] else 0),
+    )
+    for s, c in pairs:
+        if Fraction(c) > room:
+            return fit + room * s / Fraction(c)
+        fit += s
+        room -= Fraction(c)
+    return fit
+
+
+class TestBoundedTable:
+    @pytest.mark.parametrize("block", range(20))
+    def test_plans_match_the_unbounded_table(self, block):
+        rng = np.random.default_rng(5000 + block)
+        for k in range(100):
+            inst, eps = mixed_instance(rng, tiled=k % 10 == 0)
+            assert solve_approx(inst, eps) == unbounded_solve_approx(inst, eps)
+
+    @pytest.mark.parametrize("block", range(5))
+    def test_bound_never_below_the_exact_bound(self, block):
+        rng = np.random.default_rng(6000 + block)
+        for k in range(100):
+            inst, eps = mixed_instance(rng, tiled=k % 10 == 0)
+            items = [
+                it for it in inst.items if it.cost <= inst.budget and it.value > 0
+            ]
+            if not items:
+                continue
+            scale = eps * max(it.value for it in items) / len(items)
+            scaled = [int(math.floor(it.value / scale)) for it in items]
+            costs = [it.cost for it in items]
+            exact = exact_dantzig_bound(scaled, costs, inst.budget)
+            bound = _dantzig_bound(scaled, costs, inst.budget)
+            assert exact <= bound < exact + 2
+
+    def test_memory_at_tiled_scale(self):
+        # one step of the 8-times tiled brigade: each of 32 units offers the
+        # same three actions; the full table over every scaled sum (314,848)
+        # peaks at 36 MB, the one cut at the bound (49,002) at 5.6 MB
+        actions = ((1.0, 1320.0), (0.675, 820.0), (0.375, 210.0))
+        items = tuple(
+            KnapsackItem(f"u{u:02d}-{a}", value, cost)
+            for u in range(32)
+            for a, (value, cost) in enumerate(actions)
+        )
+        inst = KnapsackInstance(items=items, budget=5720.0)
+        tracemalloc.start()
+        try:
+            plan = solve_approx(inst, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert plan == unbounded_solve_approx(inst, 0.02)
+
+
 class TestSweep:
     def test_endpoints(self):
         plans = plan_sweep(STEP1_ITEMS, [0, 10**9])
@@ -249,3 +369,9 @@ def test_enumerate_optima_lists_ties():
     plans = enumerate_optima(KnapsackInstance(items=items, budget=5), limit=5)
     assert [p.selected for p in plans] == [("a",), ("b",)]
     assert all(p.total_value == 10 for p in plans)
+
+
+def test_enumerate_optima_limit():
+    items = tuple(KnapsackItem(f"i{k:02d}", 1.0, 1.0) for k in range(OPTIMA_LIMIT + 1))
+    with pytest.raises(ExactSolverLimitError):
+        enumerate_optima(KnapsackInstance(items=items, budget=5.0))

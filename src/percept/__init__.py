@@ -45,7 +45,6 @@ from .planner import (
     KnapsackInstance,
     KnapsackItem,
     Plan,
-    enumerate_optima,
     plan_sweep,
     solve_approx,
     solve_exact,

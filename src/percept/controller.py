@@ -22,7 +22,7 @@ import numpy as np
 from . import world as world_sim
 from .bayes_net import BayesNet
 from .errors import ScenarioError
-from .model_base import ControlConfig, ModelBase
+from .model_base import ActionTemplate, ControlConfig, ModelBase
 from .planner import KnapsackInstance, KnapsackItem, Plan, solve_approx
 from .valuation import ActionInstance, Valuer, ValueMode
 
@@ -165,6 +165,7 @@ class Controller:
         self.node_seq: dict[str, int] = {}
         self.fired: set[tuple[str, str]] = set()
         self._template_index = {t.id: i for i, t in enumerate(model_base.actions)}
+        self.node_templates: dict[str, tuple[ActionTemplate, ...]] = {}
         self.clock = 0
         self.steps: list[StepRecord] = []
         self.detections: tuple = ()
@@ -195,8 +196,19 @@ class Controller:
         self.net.propagate()
 
     def _register(self, node_id: str, group: str) -> None:
+        """Record a new node, and once for the run the templates that apply
+        to its models (``model_refs`` never change), in (kind, id) order."""
         self.node_group[node_id] = group
         self.node_seq[node_id] = len(self.node_seq)
+        applicable = {
+            t.id: t
+            for m in self.net.node(node_id).model_refs.values()
+            if m is not None
+            for t in self.mb.templates_for(m)
+        }
+        self.node_templates[node_id] = tuple(
+            sorted(applicable.values(), key=lambda t: (t.kind, t.id))
+        )
 
     def goal_nodes(self) -> list[str]:
         return [
@@ -211,13 +223,8 @@ class Controller:
         """Every applicable, non-exhausted template of every node, in
         (node id, kind, template id) order."""
         out = []
-        templates = sorted(self.mb.actions, key=lambda t: (t.kind, t.id))
         for node_id in sorted(self.net.nodes):
-            node = self.net.node(node_id)
-            model_ids = [m for m in node.model_refs.values() if m is not None]
-            for t in templates:
-                if not any(t.applies_to(m) for m in model_ids):
-                    continue
+            for t in self.node_templates[node_id]:
                 if not t.repeatable and (node_id, t.id) in self.fired:
                     continue
                 out.append(

@@ -9,9 +9,18 @@ value-scaling approximation scheme whose result value P satisfies
 scaled value is updated in place, one item at a time.  That row and its
 ``keep`` table stop at the Dantzig (LP relaxation) bound on the scaled
 value a plan within the budget can reach, so memory is N x bound rather
-than N x (sum of scaled values).  Both are pure and deterministic; ties
-are broken toward the plan with the lower total cost and then the
-lexicographically smallest id set.
+than N x (sum of scaled values).  Both are pure and deterministic, and
+break ties differently:
+
+- ``solve_exact`` takes the maximum value (within ``VALUE_TOL``), then the
+  least cost, then the lexicographically smallest sorted id set.
+- ``solve_approx`` takes the largest reachable scaled value, then the
+  least cost.  Among plans equal in both, it leaves out the highest ids
+  first: the highest-id item is in the plan only if no equally cheap plan
+  of that scaled value does without it, and so on down the ids.  So with
+  items i0 (value 4, cost 2), i1 (8, 3), i2 (4, 1), i3 (4, 1), budget 4
+  and epsilon 0.5, ``solve_approx`` returns (i1, i2) where ``solve_exact``
+  returns (i0, i2, i3).
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from .errors import ExactSolverLimitError
 VALUE_TOL = 1e-9  # relative slack when matching float value sums
 
 ORACLE_LIMIT = 24  # most fractional-cost items solve_exact enumerates
-OPTIMA_LIMIT = 20  # most items enumerate_optima enumerates
 
 
 @dataclass(frozen=True)
@@ -275,23 +283,3 @@ def plan_sweep(items, budgets) -> list[Plan]:
         raise ValueError("budgets must be strictly increasing")
     items = tuple(items)
     return [solve_exact(KnapsackInstance(items=items, budget=b)) for b in budgets]
-
-
-def enumerate_optima(inst: KnapsackInstance, limit: int = 10) -> list[Plan]:
-    """Up to ``limit`` optimal plans (the paper's equivalence class), canonical
-    order.  Exhaustive over at most ``OPTIMA_LIMIT`` items that fit the
-    budget; more raise :class:`ExactSolverLimitError`."""
-    items = [it for it in inst.items if it.cost <= inst.budget]
-    if len(items) > OPTIMA_LIMIT:
-        raise ExactSolverLimitError(f"{len(items)} items exceed limit {OPTIMA_LIMIT}")
-    best = solve_exact(inst)
-    tol = VALUE_TOL * max(1.0, abs(best.total_value))
-    values = _subset_sums(np.array([it.value for it in items]))
-    costs = _subset_sums(np.array([it.cost for it in items]))
-    masks = np.flatnonzero((costs <= inst.budget) & (values >= best.total_value - tol))
-    found = [
-        _plan_from_ids(inst, [it.id for i, it in enumerate(items) if k >> i & 1])
-        for k in masks.tolist()
-    ]
-    found.sort(key=lambda p: (p.total_cost, p.selected))
-    return found[:limit]

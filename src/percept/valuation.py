@@ -3,11 +3,19 @@
 The value of confirming a hypothesis label is seeded by the goal values at
 the top of the model hierarchy and propagated downward: a label is worth
 the belief change its confirmation would induce at its parents, weighted
-by their values.  An action is valued once per parent context it bears
-on: one contraction over its outcome table ``entries[c, o, p]`` gives, for
-every child label at once, how far the Bayes-rule posterior over the parent
-labels moves from the current parent probabilities.  Its value at a node is
-the sum over the node's labels, taken in label order.
+by their values.
+
+An action bears on context sources, resolved once per (target node,
+outcome table): the net parents whose labels are the table's parent axis,
+else the prospective parent groups with those labels, else the target
+itself for a self-bearing table.  One contraction over the outcome table
+``entries[c, o, p]`` gives, for every child label at once, how far the
+Bayes-rule posterior over a source's labels moves from its current
+probabilities.  It runs once per distinct (table, source, mode) in a
+valuation; every candidate with that table and source reads the result.
+A candidate's value at a label adds its sources' contractions in
+precedence order, and its value at a node sums the node's labels in label
+order, so sharing changes no bit of any value.
 
 Two modes are provided.  OUTCOME_MARGINAL marginalizes the action's outcomes
 before applying Bayes rule, so an action whose outcomes are informative
@@ -19,6 +27,7 @@ marginalized mode.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +59,10 @@ class ActionInstance:
             raise ValueError(f"action {self.id}: negative cost")
 
 
+# what an action bears on: ("node", node id) or ("group", group id)
+Source = tuple[str, str]
+
+
 @dataclass(frozen=True)
 class _ParentContext:
     """One resolved bearing of an action: labels, current probability, values."""
@@ -73,8 +86,9 @@ def _marginal_posteriors(
 class Valuer:
     """Values candidate actions against one immutable snapshot of the net.
 
-    Parent values are computed once per node or prospective group and
-    reused across candidates (the memoized top-down pass).
+    Parent values are computed once per node or prospective group, context
+    sources once per (target, outcome table), and contractions once per
+    (outcome table, source, mode); candidates share all three.
     """
 
     def __init__(
@@ -86,7 +100,10 @@ class Valuer:
         self.net = net
         self.mb = model_base
         self.mode = mode
-        self.posterior_evals = 0  # contractions: one per (action, parent context)
+        self.posterior_evals = 0  # contractions: one per (table, source, mode)
+        self._source_memo: dict[tuple[str, str], tuple[Source, ...]] = {}
+        self._contractions: dict[tuple[str, Source, ValueMode], np.ndarray] = {}
+        self._sums: dict[tuple[str, tuple[Source, ...], ValueMode], list[float]] = {}
         self._node_values: dict[str, np.ndarray] = {}
         self._group_values: dict[str, np.ndarray] = {}
         self._beliefs: dict[str, np.ndarray] = {
@@ -173,54 +190,54 @@ class Valuer:
         out[ok] = (shift * parent_values[:, None]).sum(axis=0)
         return out
 
-    # -- parent context resolution ------------------------------------------
+    # -- context sources ------------------------------------------------------
 
-    def _contexts(self, action: ActionInstance) -> list[_ParentContext]:
-        """Resolve what an action bears on, in precedence order.
+    def _sources(self, target: str, table: OutcomeTable) -> tuple[Source, ...]:
+        """What an action with ``table`` on ``target`` bears on, in precedence
+        order; resolved once per (target, table).
 
-        An instantiated net parent wins; otherwise the prospective model
-        parent group (a priori probabilities); otherwise, when the outcome
-        table's parent axis is the target's own label set, the action bears
-        on the node itself.  Anything else bears on nothing and is worth 0.
+        Instantiated net parents with the table's parent labels win;
+        otherwise the prospective model parent groups with those labels (a
+        priori probabilities); otherwise, when the parent axis is the
+        target's own label set, the node itself.  Anything else bears on
+        nothing and is worth 0.
         """
-        table = self.mb.outcome_table(action.outcome_table)
-        node = self.net.node(action.target_node)
-        out = []
-        for pid, _ in self.net.parents(action.target_node):
-            pnode = self.net.node(pid)
-            if pnode.labels == table.parent_labels:
-                out.append(
-                    _ParentContext(
-                        labels=pnode.labels,
-                        prior=self._beliefs[pid],
-                        values=self.node_value_vector(pid),
-                    )
+        key = (target, table.id)
+        if key in self._source_memo:
+            return self._source_memo[key]
+        out = tuple(
+            ("node", pid)
+            for pid, _ in self.net.parents(target)
+            if self.net.node(pid).labels == table.parent_labels
+        )
+        if not out:
+            group = self._node_group(target)
+            if group is not None:
+                out = tuple(
+                    ("group", pg)
+                    for pg, _ in self.mb.group_parents.get(group, ())
+                    if self.mb.hypothesis_set(pg).labels == table.parent_labels
                 )
-        if out:
-            return out
-        group = self._node_group(action.target_node)
-        if group is not None:
-            for parent_group, _ in self.mb.group_parents.get(group, ()):
-                hs = self.mb.hypothesis_set(parent_group)
-                if hs.labels == table.parent_labels:
-                    out.append(
-                        _ParentContext(
-                            labels=hs.labels,
-                            prior=np.array(hs.priors),
-                            values=self.group_value_vector(parent_group),
-                        )
-                    )
-        if out:
-            return out
-        if table.parent_labels == node.labels:
-            return [
-                _ParentContext(
-                    labels=node.labels,
-                    prior=self._beliefs[action.target_node],
-                    values=self.node_value_vector(action.target_node),
-                )
-            ]
-        return []
+        if not out and table.parent_labels == self.net.node(target).labels:
+            out = (("node", target),)
+        self._source_memo[key] = out
+        return out
+
+    def _context(self, source: Source) -> _ParentContext:
+        """A source's labels, current probabilities and label values."""
+        kind, ident = source
+        if kind == "node":
+            return _ParentContext(
+                labels=self.net.node(ident).labels,
+                prior=self._beliefs[ident],
+                values=self.node_value_vector(ident),
+            )
+        hs = self.mb.hypothesis_set(ident)
+        return _ParentContext(
+            labels=hs.labels,
+            prior=np.array(hs.priors),
+            values=self.group_value_vector(ident),
+        )
 
     # -- the operations ------------------------------------------------------
 
@@ -250,22 +267,44 @@ class Valuer:
             shift = np.cumsum(moved, axis=1)[:, -1]
         return np.where(denom > 0.0, (shift * ctx.values).sum(axis=1), np.nan)
 
+    def _contraction(
+        self, table: OutcomeTable, source: Source, mode: ValueMode
+    ) -> np.ndarray:
+        """``_context_values`` once per (table, source, mode), then by lookup."""
+        key = (table.id, source, mode)
+        if key not in self._contractions:
+            ctx = self._context(source)
+            self._contractions[key] = self._context_values(table, ctx, mode)
+        return self._contractions[key]
+
+    def _summed(
+        self, table: OutcomeTable, sources: tuple[Source, ...], mode: ValueMode
+    ) -> list[float]:
+        """Per child label, the contractions over ``sources`` added in order."""
+        key = (table.id, sources, mode)
+        if key not in self._sums:
+            total = np.zeros(len(table.child_labels))
+            for source in sources:
+                total = total + self._contraction(table, source, mode)
+            self._sums[key] = total.tolist()
+        return self._sums[key]
+
     def _label_values(
         self, action: ActionInstance, labels: tuple[str, ...], mode: ValueMode | None
     ) -> list[float]:
-        """The action's value at each of ``labels``, summed over its contexts."""
+        """The action's value at each of ``labels``, summed over its sources in
+        precedence order."""
         table = self.mb.outcome_table(action.outcome_table)
         for label in labels:
             if label not in table.child_labels:
                 raise UnsupportedConfigurationError(
                     f"action {action.id}: table {table.id} does not cover label {label!r}"
                 )
-        total = np.zeros(len(table.child_labels))
-        for ctx in self._contexts(action):
-            total = total + self._context_values(table, ctx, mode or self.mode)
-        values = [float(total[table.child_labels.index(lab)]) for lab in labels]
+        sources = self._sources(action.target_node, table)
+        total = self._summed(table, sources, mode or self.mode)
+        values = [total[table.child_labels.index(lab)] for lab in labels]
         for label, value in zip(labels, values):
-            if np.isnan(value):
+            if math.isnan(value):
                 raise UnsupportedConfigurationError(
                     f"action {action.id}: zero probability for label {label!r}"
                 )
@@ -276,7 +315,8 @@ class Valuer:
     ) -> float:
         """Posterior probability of one parent label given the child and action."""
         table = self.mb.outcome_table(action.outcome_table)
-        for ctx in self._contexts(action):
+        for source in self._sources(action.target_node, table):
+            ctx = self._context(source)
             if parent_label in ctx.labels:
                 self.posterior_evals += 1
                 ci = table.child_labels.index(child_label)
@@ -309,7 +349,8 @@ class Valuer:
         return float(sum(self._label_values(action, node.labels, mode)))
 
     def value_all_candidates(self, candidates) -> list[ActionInstance]:
-        """Fill in the value of every candidate; parent values are shared."""
+        """Fill in the value of every candidate; equal (table, sources) pairs
+        share one contraction per source."""
         for cand in candidates:
             cand.value = self.value_of_action_at_node(cand)
         return list(candidates)

@@ -258,6 +258,9 @@ def generate_detections(
     return tuple(out)
 
 
+_FORWARD_CELLS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
+
+
 def cluster_detections(
     detections,
     params: ClusterParams,
@@ -280,17 +283,34 @@ def cluster_detections(
             i = parent[i]
         return i
 
-    # permutation invariance: process pairs on canonical positions, and
-    # union-find components do not depend on processing order anyway
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = math.hypot(
-                detections[i].x - detections[j].x, detections[i].y - detections[j].y
-            )
-            if d <= params.max_intervehicle_distance:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    # Only pairs in the same or neighbouring grid cells can be within the
+    # threshold, so only those are compared.  Cells are a relative 1e-6
+    # wider than the threshold: then rounding in x / size cannot put a
+    # linked pair two cells apart for any coordinate below 2**31 cells.
+    # Union-find components do not depend on the order pairs are merged in.
+    threshold = params.max_intervehicle_distance
+    size = threshold * (1.0 + 1e-6)
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, det in enumerate(detections):
+        key = (math.floor(det.x / size), math.floor(det.y / size))
+        cells.setdefault(key, []).append(i)
+    for (cx, cy), here in cells.items():
+        # the cell itself, then the half of its neighbours that come later,
+        # so each pair of cells is visited once
+        for dx, dy in _FORWARD_CELLS:
+            there = cells.get((cx + dx, cy + dy))
+            if there is None:
+                continue
+            for k, i in enumerate(here):
+                for j in (here[k + 1:] if there is here else there):
+                    d = math.hypot(
+                        detections[i].x - detections[j].x,
+                        detections[i].y - detections[j].y,
+                    )
+                    if d <= threshold:
+                        ri, rj = find(i), find(j)
+                        if ri != rj:
+                            parent[ri] = rj
 
     groups: dict[int, list[int]] = {}
     for i in range(n):

@@ -8,14 +8,18 @@ from the value-scaling solver over its full, unbounded table.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from percept.bayes_net import BayesNet
 from percept.model_base import ConditionalTable, HypothesisSet
 from percept.planner import EMPTY_PLAN, KnapsackInstance, Plan, _plan_from_ids
+from percept.world import Cluster, ClusterParams
 
 
 # -- polytree specification + enumeration oracle -----------------------------
@@ -279,3 +283,106 @@ def unbounded_solve_approx(inst: KnapsackInstance, epsilon: float) -> Plan:
             sel.append(items[i].id)
             s -= scaled[i]
     return _plan_from_ids(inst, sel)
+
+
+# -- bundled and tiled scenarios ------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+BRIGADE = ROOT / "src/percept/scenarios/brigade.json"
+
+
+def tiled_brigade(k: int) -> dict:
+    """The bundled brigade tiled ``k`` times, via the benchmark's own tiler
+    (``bench/tiling.py``, imported by path)."""
+    spec = importlib.util.spec_from_file_location("tiling", ROOT / "bench/tiling.py")
+    tiling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tiling)
+    raw = json.loads(BRIGADE.read_text(encoding="utf-8"))
+    return tiling.tile_scenario(raw, k)
+
+
+# -- clustering oracle ----------------------------------------------------------
+
+# Single-linkage clustering as it was before pairs were bucketed into grid
+# cells: every pair of detections is compared.  Kept verbatim as the
+# reference the grid version must match cluster for cluster.
+def all_pairs_cluster_detections(
+    detections,
+    params: ClusterParams,
+    base: HypothesisSet | None = None,
+) -> list[Cluster]:
+    """Single-linkage clustering under the inter-vehicle distance threshold.
+
+    Components are filtered to the allowed member count and maximum extent;
+    each survivor yields one hypothesis seed whose priors tilt the base set
+    by the cluster's mean detection strength (the null label receives the
+    complement).  The result is invariant to detection order.
+    """
+    detections = list(detections)
+    n = len(detections)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    # permutation invariance: process pairs on canonical positions, and
+    # union-find components do not depend on processing order anyway
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = math.hypot(
+                detections[i].x - detections[j].x, detections[i].y - detections[j].y
+            )
+            if d <= params.max_intervehicle_distance:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+
+    clusters = []
+    for members in groups.values():
+        if not (params.min_count <= len(members) <= params.max_count):
+            continue
+        pts = [(detections[i].x, detections[i].y) for i in members]
+        extent = max(
+            (math.hypot(a[0] - b[0], a[1] - b[1]) for a in pts for b in pts),
+            default=0.0,
+        )
+        if extent > params.max_extent:
+            continue
+        cx = sum(p[0] for p in pts) / len(pts)
+        cy = sum(p[1] for p in pts) / len(pts)
+        strength = sum(detections[i].strength for i in members) / len(members)
+        seed = None
+        if base is not None:
+            tilt = np.array(
+                [
+                    (1.0 - strength) if lab == base.null_label else strength
+                    for lab in base.labels
+                ]
+            )
+            priors = np.array(base.priors) * tilt
+            total = priors.sum()
+            if total <= 0:
+                priors = np.array(base.priors)
+            else:
+                priors = priors / total
+            seed = HypothesisSet(
+                labels=base.labels, priors=priors, null_label=base.null_label
+            )
+        clusters.append(
+            Cluster(
+                members=tuple(sorted(members)),
+                centroid=(cx, cy),
+                extent=extent,
+                strength=strength,
+                seed=seed,
+            )
+        )
+    clusters.sort(key=lambda c: (c.centroid[0], c.centroid[1]))
+    return clusters

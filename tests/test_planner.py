@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from helpers import brute_force_knapsack, unbounded_solve_approx
 from percept.errors import ExactSolverLimitError
 from percept.planner import (
-    OPTIMA_LIMIT,
     KnapsackInstance,
     KnapsackItem,
     _dantzig_bound,
-    enumerate_optima,
     plan_sweep,
     solve_approx,
     solve_exact,
@@ -360,18 +358,16 @@ def test_property_exact_and_guarantee(pairs, budget, eps):
         assert (value - approx.total_value) / value < eps
 
 
-def test_enumerate_optima_lists_ties():
+def test_tie_rules_differ_between_solvers():
+    # three plans reach value 12 (scaled 12) at cost 4: (i0, i2, i3),
+    # (i1, i2) and (i1, i3); the exact solver takes the lexicographically
+    # smallest id set, the approximate one leaves out the highest id first
     items = (
-        KnapsackItem("a", 10, 5),
-        KnapsackItem("b", 10, 5),
-        KnapsackItem("c", 1, 5),
+        KnapsackItem("i0", 4.0, 2.0),
+        KnapsackItem("i1", 8.0, 3.0),
+        KnapsackItem("i2", 4.0, 1.0),
+        KnapsackItem("i3", 4.0, 1.0),
     )
-    plans = enumerate_optima(KnapsackInstance(items=items, budget=5), limit=5)
-    assert [p.selected for p in plans] == [("a",), ("b",)]
-    assert all(p.total_value == 10 for p in plans)
-
-
-def test_enumerate_optima_limit():
-    items = tuple(KnapsackItem(f"i{k:02d}", 1.0, 1.0) for k in range(OPTIMA_LIMIT + 1))
-    with pytest.raises(ExactSolverLimitError):
-        enumerate_optima(KnapsackInstance(items=items, budget=5.0))
+    inst = KnapsackInstance(items=items, budget=4.0)
+    assert solve_exact(inst).selected == ("i0", "i2", "i3")
+    assert solve_approx(inst, 0.5).selected == ("i1", "i2")

@@ -1,9 +1,13 @@
 """Bayes-rule action posteriors and the hierarchical value recursion."""
 
+import json
+
 import numpy as np
 import pytest
 
+from helpers import BRIGADE, tiled_brigade
 from percept.bayes_net import BayesNet
+from percept.controller import Controller
 from percept.errors import UnsupportedConfigurationError, UnvaluedAncestorError
 from percept.model_base import build_model_base
 from percept.planner import KnapsackInstance, KnapsackItem, solve_exact
@@ -269,22 +273,91 @@ class TestCandidates:
             val.value_of_action_at_node(act)
 
 
-class TestEvaluationBudget:
-    def test_posterior_evaluations_bounded(self):
-        from percept.controller import Controller
-        from percept.model_base import load_scenario
-        from pathlib import Path
+def table_sources(ctl, cand):
+    """The (table, source) pairs a candidate bears on, resolved from the
+    controller's own records: net parents with the table's parent labels,
+    else parent groups with them, else the target itself."""
+    mb, net = ctl.mb, ctl.net
+    table = mb.outcome_table(cand.outcome_table)
+    sources = [
+        ("node", pid) for pid, _ in net.parents(cand.target_node)
+        if net.node(pid).labels == table.parent_labels
+    ]
+    if not sources:
+        sources = [
+            ("group", pg)
+            for pg, _ in mb.group_parents.get(ctl.node_group[cand.target_node], ())
+            if mb.hypothesis_set(pg).labels == table.parent_labels
+        ]
+    if not sources and table.parent_labels == net.node(cand.target_node).labels:
+        sources = [("node", cand.target_node)]
+    return {(table.id, s) for s in sources}
 
-        mb = load_scenario(
-            Path(__file__).resolve().parents[1] / "src/percept/scenarios/brigade.json"
-        )
-        ctl = Controller(mb)
+
+def watch_steps(monkeypatch, check):
+    """Call ``check(valuer, candidates)`` after each step's valuation."""
+    original = Valuer.value_all_candidates
+
+    def wrapped(self, candidates):
+        out = original(self, candidates)
+        check(self, candidates)
+        return out
+
+    monkeypatch.setattr(Valuer, "value_all_candidates", wrapped)
+
+
+class TestEvaluationBudget:
+    def test_posterior_evaluations_bounded(self, monkeypatch):
+        mb = build_model_base(json.loads(BRIGADE.read_text(encoding="utf-8")))
+        ctl = Controller(mb, seed=5)
+        steps = []
+
+        def check(val, cands):
+            pairs = set().union(*(table_sources(ctl, c) for c in cands))
+            assert val.posterior_evals <= len(pairs)
+            steps.append(len(pairs))
+
+        watch_steps(monkeypatch, check)
+        ctl.run()
+        assert len(steps) == len(ctl.steps) > 0
+
+    def test_tiled_step_one_takes_four_contractions(self):
+        ctl = Controller(build_model_base(tiled_brigade(4)))
         ctl.initialize()
         cands = ctl.enumerate_candidates()
-        val = Valuer(ctl.net, mb)
-        for cand in cands:
-            before = val.posterior_evals
-            val.value_of_action_at_node(cand)
-            per_candidate = val.posterior_evals - before
-            levels = 1 + len(ctl.net.parents(cand.target_node))
-            assert per_candidate <= levels
+        val = Valuer(ctl.net, ctl.mb)
+        val.value_all_candidates(cands)
+        assert len(cands) == 64
+        assert val.posterior_evals <= 4
+
+
+class TestSharedValuation:
+    """Values shared across candidates equal, bit for bit, those of a fresh
+    Valuer per candidate."""
+
+    @staticmethod
+    def check_run(monkeypatch, raw, **kw):
+        steps = []
+
+        def check(val, cands):
+            for cand in cands:
+                alone = Valuer(val.net, val.mb, mode=val.mode).value_of_action_at_node(cand)
+                assert cand.value.hex() == alone.hex(), cand.id
+            steps.append(len(cands))
+
+        watch_steps(monkeypatch, check)
+        ctl = Controller(build_model_base(raw), **kw)
+        ctl.run()
+        assert len(steps) == len(ctl.steps) > 0
+        return ctl
+
+    @pytest.mark.parametrize("mode", [m.value for m in ValueMode])
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_brigade_runs(self, monkeypatch, seed, mode):
+        raw = json.loads(BRIGADE.read_text(encoding="utf-8"))
+        ctl = self.check_run(monkeypatch, raw, seed=seed, value_mode=mode)
+        if seed == 5:  # linked parents: some candidate bears on a net node
+            assert any(ctl.net.parents(n) for n in ctl.net.nodes)
+
+    def test_tiled_run(self, monkeypatch):
+        self.check_run(monkeypatch, tiled_brigade(4), seed=3)

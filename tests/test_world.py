@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import all_pairs_cluster_detections
 from percept.controller import Controller
 from percept.errors import ScenarioError
 from percept.model_base import HypothesisSet, load_scenario
@@ -125,6 +126,43 @@ class TestClustering:
             shuffled = [pts[i] for i in perm]
             again = membership(cluster_detections(shuffled, params), shuffled)
             assert again == base
+
+    @staticmethod
+    def cluster_key(clusters):
+        return [
+            (c.members, c.centroid, c.extent, c.strength,
+             c.seed.labels, c.seed.priors.tolist())
+            for c in clusters
+        ]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_grid_matches_all_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        base = HypothesisSet(
+            labels=("a", "b", "other"), priors=np.array([0.4, 0.4, 0.2]), null_label="other"
+        )
+        threshold = float(rng.choice((0.5, 2.0, 3.0, 0.3, rng.uniform(0.1, 8.0))))
+        params = ClusterParams(
+            max_intervehicle_distance=threshold, min_count=1,
+            max_count=int(rng.integers(1, 12)), max_extent=float(rng.uniform(1.0, 40.0)),
+        )
+        n = int(rng.integers(0, 150))
+        pts = [tuple(p) for p in rng.uniform(-40.0, 40.0, (n, 2))]
+        # lattice points on cell boundaries, whose neighbours sit at exactly
+        # the threshold, some nudged one float step either way
+        for _ in range(int(rng.integers(0, 60))):
+            x, y = (float(k) * threshold for k in rng.integers(-6, 7, 2))
+            if rng.random() < 0.3:
+                x = np.nextafter(x, rng.choice((-np.inf, np.inf)))
+            pts.append((x, y))
+            pts.append((x + threshold, y) if rng.random() < 0.5 else (x, y - threshold))
+        pts.append((-5e-324, 0.0))  # just below a cell edge, at the threshold
+        pts.append((threshold, 0.0))
+        order = rng.permutation(len(pts))
+        dets = [det(float(pts[i][0]), float(pts[i][1]), float(rng.random())) for i in order]
+        got = cluster_detections(dets, params, base=base)
+        want = all_pairs_cluster_detections(dets, params, base=base)
+        assert self.cluster_key(got) == self.cluster_key(want)
 
     def test_strength_tilts_seed_priors(self):
         base = HypothesisSet(

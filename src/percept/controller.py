@@ -185,14 +185,14 @@ class Controller:
             self.detections, self.world.cluster_params, base=base
         )
         unit_types = {lab for lab in base.labels if lab in self.mb.nodes}
+        units = [e for e in self.world.entities.values() if e.type in unit_types]
+        max_extent = self.world.cluster_params.max_extent
         refs = self.mb.model_refs(leaf)
         for k, cluster in enumerate(self.clusters):
             node_id = f"u{k + 1}"
             self.net.instantiate_node(cluster.seed, refs, node_id=node_id)
             self._register(node_id, leaf)
-            self.bindings[node_id] = world_sim.bind_cluster(
-                self.world, cluster, unit_types
-            )
+            self.bindings[node_id] = world_sim.bind_cluster(units, cluster, max_extent)
         self.net.propagate()
 
     def _register(self, node_id: str, group: str) -> None:

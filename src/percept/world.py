@@ -80,7 +80,6 @@ class Binding:
 @dataclass(frozen=True)
 class ActionResult:
     outcome: str
-    duration: int
     siblings: tuple[str, ...] | None = None
     parent_entity: str | None = None
     #: False when the process aborted before observing anything (for SEARCH,
@@ -218,10 +217,7 @@ class World:
 
 
 def generate_detections(
-    world: World,
-    detect_prob: float | None = None,
-    false_alarm_rate: float | None = None,
-    rng: np.random.Generator | None = None,
+    world: World, rng: np.random.Generator | None = None
 ) -> tuple[Detection, ...]:
     """Detect each true vehicle independently; scatter uniform false alarms.
 
@@ -229,12 +225,10 @@ def generate_detections(
     Deterministic given the generator state.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    p = world.detect_prob if detect_prob is None else detect_prob
-    rate = world.false_alarm_rate if false_alarm_rate is None else false_alarm_rate
     lo, hi = world.strength_true
     out = []
     for veh in world.vehicles():
-        if rng.random() < p:
+        if rng.random() < world.detect_prob:
             out.append(
                 Detection(
                     x=veh.x,
@@ -246,7 +240,7 @@ def generate_detections(
             )
     area = world.terrain.width * world.terrain.height
     flo, fhi = world.strength_false
-    for _ in range(int(rng.poisson(rate * area))):
+    for _ in range(int(rng.poisson(world.false_alarm_rate * area))):
         out.append(
             Detection(
                 x=float(rng.uniform(0.0, world.terrain.width)),
@@ -360,17 +354,18 @@ def cluster_detections(
     return clusters
 
 
-def bind_cluster(world: World, cluster: Cluster, group_types: set[str]) -> Binding:
-    """Associate a cluster with the nearest unit-level entity, if close enough."""
+def bind_cluster(
+    units: list[WorldEntity], cluster: Cluster, max_extent: float
+) -> Binding:
+    """Associate a cluster with the nearest of ``units`` (the first of equally
+    near ones), if it lies within ``max_extent``."""
     cx, cy = cluster.centroid
     best, best_d = None, math.inf
-    for e in world.entities.values():
-        if e.type not in group_types:
-            continue
+    for e in units:
         d = math.hypot(e.x - cx, e.y - cy)
         if d < best_d:
             best, best_d = e, d
-    if best is not None and best_d <= world.cluster_params.max_extent:
+    if best is not None and best_d <= max_extent:
         return Binding(entity=best.id, x=cx, y=cy)
     return Binding(entity=None, x=cx, y=cy)
 
@@ -421,7 +416,6 @@ def execute_action(
         parent_label = entity.type
     else:
         parent_label = parent_hs.null_label
-    duration = int(action.cost)
 
     if action.kind == "TERRAIN-SUPPORT":
         outcome = terrain_support(
@@ -431,20 +425,18 @@ def execute_action(
             raise ScenarioError(
                 f"terrain outcome {outcome!r} missing from table {table.id}"
             )
-        return ActionResult(outcome=outcome, duration=duration)
+        return ActionResult(outcome=outcome)
 
     if action.kind == "SEARCH":
         if not _confirmed(net, action.target_node, world.confirm_belief):
             # matcher was never run: the target is not an established
             # hypothesis yet, so this return is not evidence of anything
-            return ActionResult(
-                outcome=NO_MATCH_OUTCOME, duration=duration, informative=False
-            )
+            return ActionResult(outcome=NO_MATCH_OUTCOME, informative=False)
         if entity is None or parent_ent is None:
             # an established hypothesis with nothing real behind it: the
             # matcher runs and genuinely finds no parent formation
             outcome = _sample_null_parent(table, parent_hs.null_label, rng)
-            return ActionResult(outcome=outcome, duration=duration)
+            return ActionResult(outcome=outcome)
         target_labels = net.node(action.target_node).labels
         siblings = tuple(
             nid
@@ -456,17 +448,12 @@ def execute_action(
             and _confirmed(net, nid, world.confirm_belief)
         )
         if len(siblings) < model_base.node(parent_ent.type).min_parts:
-            return ActionResult(
-                outcome=NO_MATCH_OUTCOME, duration=duration, informative=False
-            )
+            return ActionResult(outcome=NO_MATCH_OUTCOME, informative=False)
         outcome = _sample_outcome(table, entity.type, parent_label, rng)
         if outcome == NO_MATCH_OUTCOME:
-            return ActionResult(outcome=outcome, duration=duration)
+            return ActionResult(outcome=outcome)
         return ActionResult(
-            outcome=outcome,
-            duration=duration,
-            siblings=siblings,
-            parent_entity=parent_ent.id,
+            outcome=outcome, siblings=siblings, parent_entity=parent_ent.id
         )
 
     # REFINE-TYPE, REFINE-FORMATION, CLASSIFICATION: plain table sampling
@@ -474,7 +461,7 @@ def execute_action(
         outcome = _sample_null_parent(table, parent_hs.null_label, rng)
     else:
         outcome = _sample_outcome(table, entity.type, parent_label, rng)
-    return ActionResult(outcome=outcome, duration=duration)
+    return ActionResult(outcome=outcome)
 
 
 def _sample_outcome(

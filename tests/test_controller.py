@@ -306,7 +306,7 @@ class TestCompletionHandling:
             id="u1:flat", kind="REFINE-TYPE", target_node="u1",
             cost=10, outcome_table="flat", template_id="flat",
         )
-        ctl.apply_completion(act, ActionResult(outcome="o1", duration=10))
+        ctl.apply_completion(act, ActionResult(outcome="o1"))
         assert np.allclose(ctl.net.belief("u1"), before, atol=1e-12)
 
     def test_completion_order_invariance(self):
@@ -326,7 +326,7 @@ class TestCompletionHandling:
                     id=f"{target}:{tmpl}", kind=kind, target_node=target,
                     cost=1, outcome_table=table, template_id=tmpl,
                 )
-                ctl.apply_completion(act, ActionResult(outcome=outcome, duration=1))
+                ctl.apply_completion(act, ActionResult(outcome=outcome))
             results.append({nid: ctl.net.belief(nid) for nid in ctl.net.nodes})
         for nid in results[0]:
             assert np.allclose(results[0][nid], results[1][nid], atol=1e-9)

@@ -69,13 +69,37 @@ BRIGADE_DIGESTS = {
     50: "b38c37b8161bf8b54578c6a03291820609a56f127c57f374897fe0cbc810a6df",
 }
 
+# brigade seeds under the second value mode, with a wall that ends every run
+EXPECTED_ABS_CHANGE_DIGESTS = {
+    1: "17b2404d252d5812038d470fe6465f0ed6ba4f0009fdbaa02a4fe43f27e57d8f",
+    2: "8c875a9de8fbf9a3af606e399cb86cc90fdb64e75e8a237374dc5388f2ed42ce",
+    3: "d3b2cd09a81d3c47db3ec00accd6ddb9f3e7f3595304ef5ffd93db4dcd30c9d3",
+    4: "762e0685c590456e66925f36fbed3589df98d100a1ce32ba6c15bd2885a14475",
+    5: "d95a46a321f219674dccd4225fc1ac9cfd9b5aa605d9305c91bf40a12e7a8bce",
+    6: "d6b14bd112a9e33ea3f4fb5190cc1d51afc460de5d8d2d76bc672a7243fd5d91",
+    7: "540116ca7cfc0e1751db2e173c810f777b5e4f04df529c3a3570c8597482942a",
+    8: "13c13dc84b8a9bbb6d7daa0914477958079a060465e29e5994c0aef76a70715e",
+    9: "163d5de43d11287314b838f2dc4dcc9d926fca1b9e0a2285fb54f163c49aa769",
+    10: "de9b05a6b15630e5ddb906347bccb52c1b0ca42cf4166a520e09cc38c95b31ee",
+    11: "5565fbc40246b1ee57ce79582d8410e55b83d857df25a33395f7a35b2fb5588a",
+    12: "e48e3bdeace372c162e8a80f97e600cb6b1cbecdd3e92e309e763c3c1fbdb786",
+    13: "024cf018f15784161dac94fcedb56aa30f433e2f89ee9fb6752d894b72527a95",
+    14: "12523b2a1048dd7ea5c145c1f3d97834a893e73eee54bdddf663d6d8e5012415",
+    15: "c67abb024a2fc40f9e74b701901bcae10bca44a1f612839ddcb7249bb9ad5d34",
+    16: "2b6d6410c167baec7e08b971f2f94b7305908323613d78cf8ed987ecc66aed93",
+    17: "ffc9bba5d0292a5a16686ff0b44c9fdb90b4adb3a1f95d25d98731c988820c86",
+    18: "f5346882e13349d487018c73a80b06ef60dece671a27c305f611fec2e1bd9811",
+    19: "101dc7f5d1673ef8c969fb988d814198509ee042930a54096bc617567889793a",
+    20: "654343cfb904ff4cd1d22444788e47aca20d2ec27fef0a25a8e24c1f5670f403",
+}
+
 TILED_8_DIGESTS = {
     7: "de7c0067fcf07fc792fabd85a7a713ebc750381fd6ac7f7955a1eff454b002d0",
 }
 
 
-def run_digest(raw: dict, seed: int, tmp_path) -> str:
-    report = Controller(build_model_base(raw), seed=seed).run()
+def run_digest(raw: dict, seed: int, tmp_path, **overrides) -> str:
+    report = Controller(build_model_base(raw), seed=seed, **overrides).run()
     write_trace(tmp_path / "trace.tsv", report, level=2)
     write_report(tmp_path / "report.json", report)
     data = (tmp_path / "trace.tsv").read_bytes() + (tmp_path / "report.json").read_bytes()
@@ -90,6 +114,14 @@ def brigade_raw():
 @pytest.mark.parametrize("seed", sorted(BRIGADE_DIGESTS))
 def test_brigade_report_pinned(seed, brigade_raw, tmp_path):
     assert run_digest(brigade_raw, seed, tmp_path) == BRIGADE_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(EXPECTED_ABS_CHANGE_DIGESTS))
+def test_brigade_expected_abs_change_pinned(seed, brigade_raw, tmp_path):
+    digest = run_digest(
+        brigade_raw, seed, tmp_path, value_mode="EXPECTED_ABS_CHANGE", max_wall=6000
+    )
+    assert digest == EXPECTED_ABS_CHANGE_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(TILED_8_DIGESTS))

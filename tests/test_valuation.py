@@ -361,3 +361,28 @@ class TestSharedValuation:
 
     def test_tiled_run(self, monkeypatch):
         self.check_run(monkeypatch, tiled_brigade(4), seed=3)
+
+
+def test_values_read_the_construction_time_beliefs():
+    """A Valuer values against the beliefs of its construction, even when
+    evidence arrives before a value is first asked for."""
+    mb = build_model_base(json.loads(BRIGADE.read_text(encoding="utf-8")))
+    ctl = Controller(mb, seed=5)
+    ctl.run()
+    net = ctl.net
+    children = {pid: [] for pid in net.nodes}
+    for nid in net.nodes:
+        for pid, _ in net.parents(nid):
+            children[pid].append(nid)
+    parent = next(pid for pid in sorted(net.nodes) if children[pid])
+    cands = [c for c in ctl.enumerate_candidates() if c.target_node in children[parent]]
+    assert cands
+    before = [Valuer(net, mb).value_of_action_at_node(c) for c in cands]
+    held = Valuer(net, mb)
+    shift = np.linspace(1.0, 0.2, len(net.node(parent).labels))
+    net.attach_evidence(parent, shift)
+    net.propagate()
+    after = [Valuer(net, mb).value_of_action_at_node(c) for c in cands]
+    assert after != before  # the evidence moves what a fresh Valuer sees
+    held_values = [held.value_of_action_at_node(c) for c in cands]
+    assert [v.hex() for v in held_values] == [v.hex() for v in before]

@@ -1,5 +1,6 @@
 """Ground truth, detection statistics, clustering, and outcome sampling."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 from helpers import all_pairs_cluster_detections
 from percept.controller import Controller
 from percept.errors import ScenarioError
-from percept.model_base import HypothesisSet, load_scenario
+from percept.model_base import HypothesisSet, build_model_base, load_scenario
 from percept.world import (
+    Cluster,
     ClusterParams,
     Detection,
     TerrainGrid,
     World,
     WorldEntity,
+    bind_cluster,
     cluster_detections,
     generate_detections,
     terrain_support,
@@ -183,6 +186,49 @@ class TestClustering:
         ctl.initialize()
         assert len(ctl.clusters) == 4
         assert sorted(ctl.net.nodes) == ["u1", "u2", "u3", "u4"]
+
+
+class TestBindCluster:
+    @staticmethod
+    def at(x, y):
+        return Cluster(members=(0,), centroid=(x, y), extent=0.0, strength=0.5)
+
+    @staticmethod
+    def unit(eid, x, y):
+        return WorldEntity(id=eid, type="company", x=x, y=y)
+
+    def test_nearest_unit_wins(self):
+        units = [self.unit("a", 0.0, 0.0), self.unit("b", 3.0, 0.0)]
+        binding = bind_cluster(units, self.at(2.0, 0.5), max_extent=10.0)
+        assert (binding.entity, binding.x, binding.y) == ("b", 2.0, 0.5)
+
+    def test_tie_goes_to_first_unit(self):
+        left, right = self.unit("l", -1.0, 0.0), self.unit("r", 1.0, 0.0)
+        assert bind_cluster([left, right], self.at(0.0, 0.0), 10.0).entity == "l"
+        assert bind_cluster([right, left], self.at(0.0, 0.0), 10.0).entity == "r"
+
+    def test_beyond_max_extent_binds_nothing(self):
+        units = [self.unit("a", 5.0, 0.0)]
+        assert bind_cluster(units, self.at(0.0, 0.0), max_extent=4.9).entity is None
+        assert bind_cluster(units, self.at(0.0, 0.0), max_extent=5.0).entity == "a"
+        assert bind_cluster([], self.at(0.0, 0.0), max_extent=5.0).entity is None
+
+    def test_controller_ignores_nearer_vehicles(self):
+        # units moved 2 away from their vehicles, well within max_extent 9
+        raw = json.loads(BRIGADE.read_text(encoding="utf-8"))
+        for e in raw["world"]["entities"]:
+            if e["type"] != "vehicle":
+                e["y"] += 2.0
+        ctl = Controller(build_model_base(raw))
+        ctl.initialize()
+        unit_types = set(ctl.mb.hypothesis_set(ctl.mb.leaf_group()).labels)
+        vehicles = ctl.world.vehicles()
+        for k, cluster in enumerate(ctl.clusters):
+            bound = ctl.world.entity(ctl.bindings[f"u{k + 1}"].entity)
+            assert bound.type in unit_types
+            cx, cy = cluster.centroid
+            nearest = min(np.hypot(v.x - cx, v.y - cy) for v in vehicles)
+            assert nearest < np.hypot(bound.x - cx, bound.y - cy)
 
 
 class TestTerrain:

@@ -5,12 +5,14 @@ table of the best value at each exact cost, read for the optimum and then
 walked for the canonical plan; with fractional costs, exhaustive
 enumeration of at most ``ORACLE_LIMIT`` items.  ``solve_approx`` is a
 value-scaling approximation scheme whose result value P satisfies
-(P' - P) / P' < epsilon against the optimum P'; its min-cost row over
-scaled value is updated in place, one item at a time.  That row and its
-``keep`` table stop at the Dantzig (LP relaxation) bound on the scaled
-value a plan within the budget can reach, so memory is N x bound rather
-than N x (sum of scaled values).  Both are pure and deterministic, and
-break ties differently:
+(P' - P) / P' < epsilon against the optimum P'.  Its id-ordered 0/1 table
+is updated in place, one item at a time, along one of two axes, whichever
+is narrower: scaled value, cut at the Dantzig (LP relaxation) bound on the
+scaled value a plan within the budget can reach, each cell holding the
+least cost; or, when every cost is an exact integer, cost in units of the
+costs' gcd up to the budget, each cell holding the largest scaled value.
+Both give the same plan, bit for bit.  Both solvers are pure and
+deterministic, and break ties differently:
 
 - ``solve_exact`` takes the maximum value (within ``VALUE_TOL``), then the
   least cost, then the lexicographically smallest sorted id set.
@@ -101,15 +103,22 @@ def _plan_from_ids(inst: KnapsackInstance, ids) -> Plan:
     )
 
 
-def _integral_costs(items) -> bool:
-    return all(abs(it.cost - round(it.cost)) <= 1e-9 for it in items)
+def _integral_costs(costs) -> bool:
+    """Whether every cost is exactly a whole number: one off by any amount,
+    however small, is fractional, so no table rounds a cost."""
+    return all(float(c).is_integer() for c in costs)
+
+
+def _cost_cap(costs: list[int], budget: float) -> int:
+    """The most a plan of these integral costs can spend within ``budget``."""
+    return min(sum(costs), math.floor(budget)) if math.isfinite(budget) else sum(costs)
 
 
 def solve_exact(inst: KnapsackInstance) -> Plan:
     """Maximum-value plan within the budget, canonically tie-broken.
 
-    Requires integral costs (dynamic program) or at most ``ORACLE_LIMIT``
-    items (exhaustive enumeration); anything larger raises
+    Requires exactly integral costs (dynamic program) or at most
+    ``ORACLE_LIMIT`` items (exhaustive enumeration); anything larger raises
     :class:`ExactSolverLimitError`.
     """
     items = sorted(
@@ -117,7 +126,7 @@ def solve_exact(inst: KnapsackInstance) -> Plan:
     )
     if not items:
         return EMPTY_PLAN
-    if _integral_costs(items):
+    if _integral_costs(it.cost for it in items):
         return _solve_dp(inst, items)
     if len(items) <= ORACLE_LIMIT:
         return _solve_enum(inst, items)
@@ -128,10 +137,8 @@ def solve_exact(inst: KnapsackInstance) -> Plan:
 
 
 def _solve_dp(inst: KnapsackInstance, items) -> Plan:
-    costs = [int(round(it.cost)) for it in items]
-    cap = sum(costs)
-    if math.isfinite(inst.budget):
-        cap = min(cap, int(math.floor(inst.budget + 1e-9)))
+    costs = [int(it.cost) for it in items]
+    cap = _cost_cap(costs, inst.budget)
 
     # forced choices for zero-cost items: take them iff they carry value
     forced = [it for it, w in zip(items, costs) if w == 0 and it.value > 0]
@@ -226,54 +233,103 @@ def _dantzig_bound(scaled: list[int], costs: list[float], budget: float) -> int:
     return fit
 
 
-def solve_approx(inst: KnapsackInstance, epsilon: float) -> Plan:
-    """Approximate plan with relative value error strictly below ``epsilon``.
-
-    Value-scaling scheme: values are scaled by K = epsilon * Vmax / N and
-    floored, then a min-cost dynamic program over scaled value recovers a
-    plan whose true value P satisfies (P' - P)/P' < epsilon.  The table
-    stops at the Dantzig bound U on the scaled value a plan within the
-    budget can reach, so it holds N x (U + 1) cells; every cell up to U,
-    and so the plan, is what the full table over all scaled sums would
-    give.  Deterministic for fixed input; zero-value items are never
-    selected.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+def _scaled_items(inst: KnapsackInstance, epsilon: float):
+    """The items ``solve_approx`` can take, in id order, and their values
+    scaled by K = epsilon * Vmax / N and floored; an item of zero value,
+    zero scaled value or cost above the budget can never be taken."""
     items = sorted(
         (it for it in inst.items if it.cost <= inst.budget and it.value > 0),
         key=lambda it: it.id,
     )
     if not items:
-        return EMPTY_PLAN
-    vmax = max(it.value for it in items)
-    scale = epsilon * vmax / len(items)
-    scaled = [int(math.floor(it.value / scale)) for it in items]
-    top = _dantzig_bound(scaled, [it.cost for it in items], inst.budget)
+        return [], []
+    scale = epsilon * max(it.value for it in items) / len(items)
+    scaled = [math.floor(it.value / scale) for it in items]
+    return [it for it, s in zip(items, scaled) if s > 0], [s for s in scaled if s > 0]
 
-    # cell s reads only cells below s, so cutting the table at top changes
-    # no cell at or below it; every item fits the budget alone, so none is
-    # scaled above top
-    min_cost = np.full(top + 1, math.inf)
-    min_cost[0] = 0.0
-    keep = np.zeros((len(items), top + 1), dtype=bool)
-    for i, (it, s) in enumerate(zip(items, scaled)):
-        if s == 0:
-            continue
-        cand = min_cost[:-s] + it.cost
-        takes = keep[i, s:]
-        np.less(cand, min_cost[s:], out=takes)  # strict: prefer excluding on cost ties
-        np.copyto(min_cost[s:], cand, where=takes)
 
-    reachable = np.flatnonzero(min_cost <= inst.budget)
-    best_s = int(reachable.max())
+def _value_axis(scaled: list[int], costs: list[float], budget: float):
+    """(width, steps, start) of the table over scaled value: cells up to
+    the Dantzig bound, each the least cost reaching its scaled value, kept
+    negated so that the table maximises; start at the largest value within
+    the budget."""
+    # cell s reads only cells below s, so cutting the table at the bound
+    # changes no cell at or below it; every item fits the budget alone, so
+    # none is scaled above the bound
+    top = _dantzig_bound(scaled, costs, budget)
+    steps = [(s, -c) for s, c in zip(scaled, costs)]  # float negation is exact
+    return top + 1, steps, lambda best: int(np.flatnonzero(best >= -budget)[-1])
+
+
+def _cost_axis(scaled: list[int], costs: list[float], budget: float):
+    """(width, steps, start) of the table over cost, in units of the costs'
+    gcd up to the budget, each cell the largest scaled value at exactly its
+    cost; start at the least cost reaching the best value.  None when a
+    cost is fractional."""
+    if not _integral_costs(costs):
+        return None
+    costs = [int(c) for c in costs]
+    unit = math.gcd(*costs) or 1
+    width = _cost_cap(costs, budget) // unit + 1
+    steps = [(c // unit, s) for c, s in zip(costs, scaled)]
+    return width, steps, lambda best: int(np.argmax(best))
+
+
+def _table_walk(width: int, steps, start) -> list[int]:
+    """Indices of the items an id-ordered 0/1 table over one axis selects.
+
+    ``steps`` gives each item's (shift, gain): its size on the table's axis
+    and what it adds to the sum the table maximises.  After item i, cell a
+    holds the largest sum of a subset of items 0..i whose shifts add up to
+    exactly a (-inf if none does); item i takes a cell only on a strict
+    gain, so on a tie the earlier items keep it.  The walk starts at cell
+    ``start(best)`` and goes back down the ids: item i is in the plan iff
+    it took the current cell, which leaves out the highest ids first.
+    """
+    best = np.full(width, -math.inf)
+    best[0] = 0.0
+    keep = np.zeros((len(steps), width), dtype=bool)
+    for i, (shift, gain) in enumerate(steps):
+        cand = best[: width - shift] + gain
+        takes = keep[i, shift:]
+        np.greater(cand, best[shift:], out=takes)
+        np.copyto(best[shift:], cand, where=takes)
     sel = []
-    s = best_s
-    for i in range(len(items) - 1, -1, -1):
-        if keep[i, s]:
-            sel.append(items[i].id)
-            s -= scaled[i]
-    return _plan_from_ids(inst, sel)
+    at = start(best)
+    for i in range(len(steps) - 1, -1, -1):
+        if keep[i, at]:
+            sel.append(i)
+            at -= steps[i][0]
+    return sel
+
+
+def solve_approx(inst: KnapsackInstance, epsilon: float) -> Plan:
+    """Approximate plan with relative value error strictly below ``epsilon``.
+
+    Value-scaling scheme: values are scaled by K = epsilon * Vmax / N and
+    floored, then a 0/1 dynamic program recovers the plan of the largest
+    scaled value within the budget, of least cost among those, whose true
+    value P satisfies (P' - P)/P' < epsilon.  The table runs over scaled
+    value up to the Dantzig bound U on the scaled value a plan within the
+    budget can reach, N x (U + 1) cells; or, when every cost is an exact
+    integer and it is no wider, over cost in units of the costs' gcd g,
+    N x (min(floor(budget), total cost) // g + 1) cells.  Either way the
+    plan is the one the full table over all scaled sums gives: the walk
+    leaves item i out exactly when the items before it reach the same
+    (scaled value, cost).  Deterministic for fixed input; zero-value items
+    are never selected.
+    """
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    items, scaled = _scaled_items(inst, epsilon)
+    if not items:
+        return EMPTY_PLAN
+    costs = [it.cost for it in items]
+    axis = _value_axis(scaled, costs, inst.budget)
+    by_cost = _cost_axis(scaled, costs, inst.budget)
+    if by_cost is not None and by_cost[0] <= axis[0]:
+        axis = by_cost
+    return _plan_from_ids(inst, [items[i].id for i in _table_walk(*axis)])
 
 
 def plan_sweep(items, budgets) -> list[Plan]:

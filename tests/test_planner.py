@@ -14,7 +14,11 @@ from percept.errors import ExactSolverLimitError
 from percept.planner import (
     KnapsackInstance,
     KnapsackItem,
+    _cost_axis,
     _dantzig_bound,
+    _scaled_items,
+    _table_walk,
+    _value_axis,
     plan_sweep,
     solve_approx,
     solve_exact,
@@ -103,6 +107,21 @@ class TestExact:
             KnapsackInstance(
                 items=(KnapsackItem("a", 1, 1), KnapsackItem("a", 2, 2)), budget=3
             )
+
+    def test_budget_just_below_an_integer_is_not_rounded_up(self):
+        # 5720 - 1e-10 is a float below 5720: both items fit alone, not together
+        items = (KnapsackItem("a", 1.0, 2860), KnapsackItem("b", 2.0, 2860))
+        inst = KnapsackInstance(items=items, budget=5720 - 1e-10)
+        plan = solve_exact(inst)
+        assert plan.selected == ("b",) and plan.total_cost <= inst.budget
+
+    def test_near_integral_costs_are_not_rounded(self):
+        # 1 + 1e-12 is a fractional cost: the pair costs more than the budget
+        items = (KnapsackItem("a", 1.0, 1 + 1e-12), KnapsackItem("b", 1.0, 1.0))
+        inst = KnapsackInstance(items=items, budget=2.0)
+        plan = solve_exact(inst)
+        assert plan.selected == ("b",) and plan.total_cost <= inst.budget
+        assert plan.selected == brute_force_knapsack(items, 2.0)[2]
 
     @pytest.mark.parametrize("budget", [math.nan, -1.0])
     def test_budget_must_be_a_number_at_least_zero(self, budget):
@@ -299,6 +318,105 @@ class TestBoundedTable:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+        assert plan == unbounded_solve_approx(inst, 0.02)
+
+
+def axis_selections(inst, eps):
+    """The item indices each axis's table selects, the cost axis's None when
+    a cost is fractional, and whether ``solve_approx`` takes the cost axis."""
+    items, scaled = _scaled_items(inst, eps)
+    costs = [it.cost for it in items]
+    by_value = _value_axis(scaled, costs, inst.budget)
+    by_cost = _cost_axis(scaled, costs, inst.budget)
+    return (
+        _table_walk(*by_value),
+        None if by_cost is None else _table_walk(*by_cost),
+        by_cost is not None and by_cost[0] <= by_value[0],
+    )
+
+
+def nth_mixed_instance(seed, k):
+    rng = np.random.default_rng(seed)
+    for j in range(k + 1):
+        inst, eps = mixed_instance(rng, tiled=j % 10 == 0)
+    return inst, eps
+
+
+class TestCostAxis:
+    @pytest.mark.parametrize("block", range(10))
+    def test_both_axes_select_the_same_items(self, block):
+        rng = np.random.default_rng(7000 + block)
+        on_cost = 0
+        for k in range(100):
+            inst, eps = mixed_instance(rng, tiled=k % 10 == 0)
+            by_value, by_cost, chosen = axis_selections(inst, eps)
+            if by_cost is not None:
+                assert by_cost == by_value
+            on_cost += chosen
+            assert solve_approx(inst, eps) == unbounded_solve_approx(inst, eps)
+        assert on_cost >= 20  # every tiled draw, and many small integral ones
+
+    # ties between equal (scaled value, cost) items at tiled scale: on these
+    # draws, planning per (scaled value, cost) class over binary bundles and
+    # taking each class's smallest ids gives another plan than the id-ordered
+    # table, which both axes reproduce
+    @pytest.mark.parametrize("seed, k", [(5035, 80), (5036, 20), (5039, 80)])
+    def test_tie_heavy_draws_where_class_bundling_differs(self, seed, k):
+        inst, eps = nth_mixed_instance(seed, k)
+        by_value, by_cost, chosen = axis_selections(inst, eps)
+        assert chosen and by_cost == by_value
+        assert solve_approx(inst, eps) == unbounded_solve_approx(inst, eps)
+
+    # on_cost: solve_approx takes the cost axis for some values and epsilon
+    @pytest.mark.parametrize(
+        "costs, budget, integral, on_cost",
+        [
+            ((0, 0, 3, 5, 0), 6.0, True, True),  # zero-cost items, gcd 1
+            ((0, 0, 0), 0.0, True, True),  # zero costs only: a one-cell table
+            ((210, 400, 820, 1320, 210, 400), 5720.0, True, True),  # gcd 10
+            ((7, 11, 13, 7, 11), math.inf, True, True),  # width is the total cost
+            ((2860, 2860, 1320), 5720 - 1e-10, True, True),  # floored to 5719
+            ((1 + 1e-12, 1.0, 2.0), 3.0, False, False),  # fractional, however close
+            ((3 - 1e-12, 1.0, 2.0), 3.0, False, False),
+            ((10**6, 1, 999_999), 10.0**6, True, False),  # wider than the bound
+        ],
+    )
+    def test_edge_cases(self, costs, budget, integral, on_cost):
+        chosen = set()
+        for values in ((4, 4, 8, 4, 2, 4), (1,) * 6, (5, 3, 5, 1, 3, 5)):
+            items = tuple(
+                KnapsackItem(f"i{k}", float(v), c)
+                for k, (v, c) in enumerate(zip(values, costs))
+            )
+            inst = KnapsackInstance(items=items, budget=budget)
+            for eps in (0.5, 0.1, 0.02):
+                by_value, by_cost, on = axis_selections(inst, eps)
+                assert (by_cost is not None) == integral
+                assert by_cost is None or by_cost == by_value
+                chosen.add(on)
+                plan = solve_approx(inst, eps)
+                assert plan == unbounded_solve_approx(inst, eps)
+                assert plan.total_cost <= budget
+        assert (True in chosen) == on_cost
+
+    def test_memory_at_sixteen_times_tiled_scale(self):
+        # one step of the 16-times tiled brigade: 64 units, three actions
+        # each; the cost axis holds 192 x 573 cells where the value axis cut
+        # at the Dantzig bound would hold 192 x ~98,000
+        actions = ((1.0, 1320.0), (0.675, 820.0), (0.375, 210.0))
+        items = tuple(
+            KnapsackItem(f"u{u:02d}-{a}", value, cost)
+            for u in range(64)
+            for a, (value, cost) in enumerate(actions)
+        )
+        inst = KnapsackInstance(items=items, budget=5720.0)
+        tracemalloc.start()
+        try:
+            plan = solve_approx(inst, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
         assert plan == unbounded_solve_approx(inst, 0.02)
 
 

@@ -41,7 +41,7 @@ scenario = {
 
 mb = build_model_base(scenario)
 net = BayesNet()
-net.instantiate_node(mb.hypothesis_set("object"), mb.model_refs("object"), node_id="child")
+net.instantiate_node(mb.hypothesis_set("object"), "object", node_id="child")
 action = ActionInstance(id="child:act", kind="CLASSIFICATION", target_node="child",
                         cost=10, outcome_table="t", template_id="act")
 
@@ -65,6 +65,6 @@ flat = {
 scenario["outcome_tables"]["t"]["entries"] = flat["entries"]
 mb2 = build_model_base(scenario)
 net2 = BayesNet()
-net2.instantiate_node(mb2.hypothesis_set("object"), mb2.model_refs("object"), node_id="child")
+net2.instantiate_node(mb2.hypothesis_set("object"), "object", node_id="child")
 print(f"\nparent-independent table: value = "
       f"{Valuer(net2, mb2).value_of_action_at_node(action)}")

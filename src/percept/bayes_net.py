@@ -1,8 +1,10 @@
 """Dynamically instantiated Bayes net over hypothesis sets, with exact inference.
 
-The net is kept singly connected (a polytree): every :meth:`BayesNet.link`
-call that would create an undirected cycle is rejected, so propagation by
-message passing is always exact.  Factors are named by the node that
+Each node is an instance of one model-base group, recorded on the node
+when it is created (hand-built nodes may have none).  The net is kept
+singly connected (a polytree): every :meth:`BayesNet.link` call that
+would create an undirected cycle is rejected, so propagation by message
+passing is always exact.  Factors are named by the node that
 owns them: ``("cpt", n)`` is p(n | parents), or n's prior at a root, and
 ``("ev", n)`` is the product of n's likelihoods.  After a change to nodes,
 edges or evidence, the posteriors of each changed component are recomputed
@@ -29,7 +31,7 @@ class BayesNode:
 
     id: str
     hypotheses: HypothesisSet
-    model_refs: dict[str, str | None]
+    group: str | None  # the model-base group this node instantiates
     prior: np.ndarray  # acts as the root prior until a parent is linked
     belief: np.ndarray
     evidence: np.ndarray | None = None  # product of attached likelihoods
@@ -63,10 +65,10 @@ class BayesNet:
     def instantiate_node(
         self,
         hypotheses: HypothesisSet,
-        model_refs: dict[str, str | None] | None = None,
+        group: str | None = None,
         node_id: str | None = None,
     ) -> str:
-        """Create a node with belief equal to the hypothesis priors."""
+        """Create a node of ``group`` with belief equal to the hypothesis priors."""
         if node_id is None:
             k = len(self.nodes) + 1
             while f"n{k}" in self.nodes:
@@ -78,7 +80,7 @@ class BayesNet:
         self.nodes[node_id] = BayesNode(
             id=node_id,
             hypotheses=hypotheses,
-            model_refs=dict(model_refs or {}),
+            group=group,
             prior=prior,
             belief=prior.copy(),
         )

@@ -17,6 +17,7 @@ from pathlib import Path
 from .controller import Controller, audit_report
 from .model_base import load_scenario
 from .planner import KnapsackInstance, solve_approx, solve_exact
+from .world import World
 
 TRACE_COLUMNS = ("step", "action_kind", "target", "value", "cost", "outcome", "finish_time")
 
@@ -148,6 +149,7 @@ def cmd_knapsack(args) -> int:
 
 def cmd_validate(args) -> int:
     mb = load_scenario(args.scenario)
+    World.from_dict(mb.world, known_types=set(mb.nodes))  # as a run builds it
     print(
         f"OK: {len(mb.nodes)} models, {len(mb.groups)} groups, "
         f"{len(mb.actions)} action templates"

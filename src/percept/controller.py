@@ -22,7 +22,7 @@ import numpy as np
 from . import world as world_sim
 from .bayes_net import BayesNet
 from .errors import ScenarioError
-from .model_base import ActionTemplate, ControlConfig, ModelBase
+from .model_base import ControlConfig, ModelBase
 from .planner import KnapsackInstance, KnapsackItem, Plan, solve_approx
 from .valuation import ActionInstance, Valuer, ValueMode
 
@@ -161,11 +161,9 @@ class Controller:
             model_base.world, known_types=set(model_base.nodes)
         )
         self.bindings: dict[str, world_sim.Binding] = {}
-        self.node_group: dict[str, str] = {}
         self.node_seq: dict[str, int] = {}
         self.fired: set[tuple[str, str]] = set()
         self._template_index = {t.id: i for i, t in enumerate(model_base.actions)}
-        self.node_templates: dict[str, tuple[ActionTemplate, ...]] = {}
         self.clock = 0
         self.steps: list[StepRecord] = []
         self.detections: tuple = ()
@@ -175,9 +173,7 @@ class Controller:
 
     def initialize(self) -> None:
         """Detect, cluster, and instantiate the initial unit-level nodes."""
-        rng = np.random.default_rng(
-            np.random.SeedSequence((self.config.seed, _DETECT_STREAM))
-        )
+        rng = np.random.default_rng((self.config.seed, _DETECT_STREAM))
         self.detections = world_sim.generate_detections(self.world, rng=rng)
         leaf = self.mb.leaf_group()
         base = self.mb.hypothesis_set(leaf)
@@ -187,35 +183,16 @@ class Controller:
         unit_types = {lab for lab in base.labels if lab in self.mb.nodes}
         units = [e for e in self.world.entities.values() if e.type in unit_types]
         max_extent = self.world.cluster_params.max_extent
-        refs = self.mb.model_refs(leaf)
         for k, cluster in enumerate(self.clusters):
             node_id = f"u{k + 1}"
-            self.net.instantiate_node(cluster.seed, refs, node_id=node_id)
-            self._register(node_id, leaf)
+            self.net.instantiate_node(cluster.seed, leaf, node_id=node_id)
+            self.node_seq[node_id] = len(self.node_seq)
             self.bindings[node_id] = world_sim.bind_cluster(units, cluster, max_extent)
         self.net.propagate()
 
-    def _register(self, node_id: str, group: str) -> None:
-        """Record a new node, and once for the run the templates that apply
-        to its models (``model_refs`` never change), in (kind, id) order."""
-        self.node_group[node_id] = group
-        self.node_seq[node_id] = len(self.node_seq)
-        applicable = {
-            t.id: t
-            for m in self.net.node(node_id).model_refs.values()
-            if m is not None
-            for t in self.mb.templates_for(m)
-        }
-        self.node_templates[node_id] = tuple(
-            sorted(applicable.values(), key=lambda t: (t.kind, t.id))
-        )
-
     def goal_nodes(self) -> list[str]:
-        return [
-            nid
-            for nid, g in self.node_group.items()
-            if g == self.mb.goal_group and nid in self.net.nodes
-        ]
+        goal = self.mb.goal_group
+        return [nid for nid, node in self.net.nodes.items() if node.group == goal]
 
     # -- candidate enumeration ----------------------------------------------
 
@@ -223,8 +200,9 @@ class Controller:
         """Every applicable, non-exhausted template of every node, in
         (node id, kind, template id) order."""
         out = []
-        for node_id in sorted(self.net.nodes):
-            for t in self.node_templates[node_id]:
+        nodes, templates = self.net.nodes, self.mb.group_templates
+        for node_id in sorted(nodes):
+            for t in templates[nodes[node_id].group]:
                 if not t.repeatable and (node_id, t.id) in self.fired:
                     continue
                 out.append(
@@ -251,7 +229,7 @@ class Controller:
         on completion scheduling.
         """
         oi = table.outcome_index(outcome)
-        group = self.mb.group_for_labels(table.parent_labels)
+        group = self.mb.table_parent_group[table.id]
         priors = np.array(self.mb.hypothesis_set(group).priors)
         joint = table.entries @ priors  # (child, outcome)
         totals = joint.sum(axis=1)
@@ -268,41 +246,34 @@ class Controller:
         the parent's causal message supersedes it, so no information is lost.
         """
         if not self.net.parents(child_id):
-            w = self.net.node(child_id).prior
-            group = self.node_group[child_id]
-            base = np.array(self.mb.hypothesis_set(group).priors)
+            node = self.net.node(child_id)
+            w = node.prior
+            base = np.array(self.mb.hypothesis_set(node.group).priors)
             if not np.allclose(w, base, atol=1e-12):
                 adj = np.divide(w, base, out=np.zeros_like(w), where=base > 0)
                 self.net.attach_evidence(child_id, adj)
         self.net.link(parent_id, child_id, cpt)
 
-    def _parent_cpt(self, child_group: str, parent_group: str):
-        for pg, cpt_id in self.mb.group_parents.get(child_group, ()):
-            if pg == parent_group:
-                return self.mb.cpt(cpt_id)
-        raise ScenarioError(
-            f"no model edge from group {parent_group!r} to {child_group!r}"
-        )
-
     def _handle_match(self, action: ActionInstance, result) -> None:
-        table = self.mb.outcome_table(action.outcome_table)
-        parent_group = self.mb.group_for_labels(table.parent_labels)
-        child_group = self.node_group[action.target_node]
+        parent_group = self.mb.table_parent_group[action.outcome_table]
+        child_group = self.net.node(action.target_node).group
         if parent_group == child_group:
             return  # self-bearing table, nothing to instantiate
-        cpt = self._parent_cpt(child_group, parent_group)
-        parent_id = None
-        for nid, g in self.node_group.items():
-            if g == parent_group and self.bindings.get(nid) is not None:
-                if self.bindings[nid].entity == result.parent_entity:
-                    parent_id = nid
-                    break
+        cpt_id = dict(self.mb.group_parents.get(child_group, ())).get(parent_group)
+        if cpt_id is None:
+            raise ScenarioError(
+                f"no model edge from group {parent_group!r} to {child_group!r}"
+            )
+        cpt = self.mb.cpt(cpt_id)
+        members = [nid for nid, n in self.net.nodes.items() if n.group == parent_group]
+        parent_id = next(
+            (m for m in members if self.bindings[m].entity == result.parent_entity), None
+        )
         if parent_id is None:
-            count = sum(1 for g in self.node_group.values() if g == parent_group)
-            parent_id = f"{parent_group}{count + 1}"
+            parent_id = f"{parent_group}{len(members) + 1}"
             hs = self.mb.hypothesis_set(parent_group)
-            self.net.instantiate_node(hs, self.mb.model_refs(parent_group), node_id=parent_id)
-            self._register(parent_id, parent_group)
+            self.net.instantiate_node(hs, parent_group, node_id=parent_id)
+            self.node_seq[parent_id] = len(self.node_seq)
             xs = [self.bindings[s].x for s in result.siblings]
             ys = [self.bindings[s].y for s in result.siblings]
             self.bindings[parent_id] = world_sim.Binding(
@@ -312,7 +283,7 @@ class Controller:
             )
         for sib in result.siblings:
             already = any(
-                self.node_group.get(pid) == parent_group
+                self.net.node(pid).group == parent_group
                 for pid, _ in self.net.parents(sib)
             )
             if not already:
@@ -333,14 +304,12 @@ class Controller:
     ) -> np.random.Generator:
         # keyed, not sequential: replays and permutations see identical streams
         return np.random.default_rng(
-            np.random.SeedSequence(
-                (
-                    self.config.seed,
-                    stream,
-                    step,
-                    self.node_seq[action.target_node],
-                    self._template_index[action.template_id],
-                )
+            (
+                self.config.seed,
+                stream,
+                step,
+                self.node_seq[action.target_node],
+                self._template_index[action.template_id],
             )
         )
 

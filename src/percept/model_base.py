@@ -9,6 +9,7 @@ workers.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,6 +34,13 @@ NULL_LABEL = "other"
 #: outcome id every SEARCH outcome table must provide (reported when the
 #: matcher cannot assemble a parent hypothesis)
 NO_MATCH_OUTCOME = "no_match"
+
+
+def _number(value, what: str):
+    """``value`` itself if it is a number, else a ScenarioError naming ``what``."""
+    if not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{what}: expected a number, got {value!r}")
+    return value
 
 
 def _as_prob_array(values, what: str) -> np.ndarray:
@@ -261,26 +269,32 @@ class ControlConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ControlConfig":
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"control: expected an object, got {raw!r}")
         raw = dict(raw)
+
+        def num(key, default):
+            return _number(raw.get(key, default), f"control: {key}")
+
         if "termination_ratio" in raw and "termination_belief" not in raw:
             # odds ratio r maps to belief r / (1 + r)
-            ratio = float(raw.pop("termination_ratio"))
+            ratio = float(num("termination_ratio", None))
             if ratio <= 1.0:
                 raise ScenarioError(f"control: termination_ratio {ratio} must be > 1")
             raw["termination_belief"] = ratio / (1.0 + ratio)
         raw.pop("termination_ratio", None)
-        budget = raw.get("budget_T", raw.get("budget_t", 0))
+        budget = _number(raw.get("budget_T", raw.get("budget_t", 0)), "control: budget_T")
         if abs(budget - round(budget)) > 1e-9:
             raise ScenarioError(f"control: budget_T {budget} must be integral")
         return ControlConfig(
             budget_t=int(round(budget)),
-            epsilon=float(raw.get("epsilon", 0.1)),
-            processors=int(raw.get("processors", 1)),
-            termination_belief=float(raw.get("termination_belief", 0.99)),
-            seed=int(raw.get("seed", 0)),
-            max_wall=float(raw.get("max_wall", float("inf"))),
+            epsilon=float(num("epsilon", 0.1)),
+            processors=int(num("processors", 1)),
+            termination_belief=float(num("termination_belief", 0.99)),
+            seed=int(num("seed", 0)),
+            max_wall=float(num("max_wall", float("inf"))),
             value_mode=str(raw.get("value_mode", "OUTCOME_MARGINAL")),
-            duration_jitter=float(raw.get("duration_jitter", 0.0)),
+            duration_jitter=float(num("duration_jitter", 0.0)),
         )
 
 
@@ -306,14 +320,18 @@ class ModelBase:
         self.goal_values = goal_values
         self.world = world
         self.control = control
-        self.group_of: dict[str, str] = {
-            m.id: m.isa_group for m in nodes.values()
-        }
         # group-level part-of edges: child group -> ((parent group, cpt id), ...)
         self.group_parents: dict[str, tuple[tuple[str, str], ...]] = {}
+        # outcome table id -> the group over its parent axis, set by _validate
+        self.table_parent_group: dict[str, str] = {}
         self._derive_group_edges()
         self.goal_group = self._find_goal_group()
         self._validate()
+        # group -> the templates applicable to any member model, in (kind, id) order
+        self.group_templates: dict[str, tuple[ActionTemplate, ...]] = {}
+        for g, hs in groups.items():
+            union = {t for m in hs.labels if m in nodes for t in self.templates_for(m)}
+            self.group_templates[g] = tuple(sorted(union, key=lambda t: (t.kind, t.id)))
 
     # -- lookups ---------------------------------------------------------
 
@@ -339,15 +357,11 @@ class ModelBase:
             raise UnknownIdError(f"unknown hypothesis group {group!r}") from None
 
     def group_for_labels(self, labels: tuple[str, ...]) -> str | None:
+        """The group with exactly these labels, by a scan (load time only)."""
         for gid, hs in self.groups.items():
             if hs.labels == tuple(labels):
                 return gid
         return None
-
-    def model_refs(self, group: str) -> dict[str, str | None]:
-        """Mapping hypothesis label -> model node id (None for the null label)."""
-        hs = self.hypothesis_set(group)
-        return {lab: (lab if lab in self.nodes else None) for lab in hs.labels}
 
     def cpt(self, cpt_id: str) -> ConditionalTable:
         try:
@@ -452,7 +466,8 @@ class ModelBase:
                 for mid in t.applicable_to:
                     self.node(mid)
         for table in self.outcome_tables.values():
-            if self.group_for_labels(table.parent_labels) is None:
+            parent = self.group_for_labels(table.parent_labels)
+            if parent is None:
                 raise ScenarioError(
                     f"outcome table {table.id}: parent labels do not match any group"
                 )
@@ -460,6 +475,7 @@ class ModelBase:
                 raise ScenarioError(
                     f"outcome table {table.id}: child labels do not match any group"
                 )
+            self.table_parent_group[table.id] = parent
 
     def topological_order(self) -> tuple[str, ...]:
         """Model node ids, every part after its whole; raises on a cycle."""
@@ -521,9 +537,10 @@ def _build_groups(models: list[dict]) -> tuple[dict[str, ModelNode], dict[str, H
         if mid == NULL_LABEL:
             raise ScenarioError(f"model id {NULL_LABEL!r} is reserved")
         group = rec.get("isa_group", mid)
-        raw_priors[mid] = rec.get("prior")
+        prior = rec.get("prior")
+        raw_priors[mid] = None if prior is None else _number(prior, f"model {mid}: prior")
         members.setdefault(group, []).append(mid)
-        if rec.get("prior") is None:
+        if prior is None:
             unspecified.setdefault(group, []).append(mid)
         parts = tuple(
             (p["child"], p["cpt"]) for p in rec.get("parts", [])
@@ -534,7 +551,7 @@ def _build_groups(models: list[dict]) -> tuple[dict[str, ModelNode], dict[str, H
             prior=0.0,  # placeholder, resolved below
             isa_group=group,
             parts=parts,
-            min_parts=int(rec.get("min_parts", 1)),
+            min_parts=int(_number(rec.get("min_parts", 1), f"model {mid}: min_parts")),
         )
 
     groups: dict[str, HypothesisSet] = {}
@@ -617,14 +634,20 @@ def build_model_base(raw: dict) -> ModelBase:
 
     actions = []
     for rec in raw["actions"]:
-        cost = rec.get("cost", 0)
+        aid = rec.get("id", "?")
+        cost = _number(rec.get("cost", 0), f"action {aid}: cost")
         if abs(cost - round(cost)) > 1e-9:
             raise ScenarioError(
-                f"action {rec.get('id', '?')}: fractional cost {cost} "
+                f"action {aid}: fractional cost {cost} "
                 "(costs are integral simulated milliseconds)"
             )
         applicable = rec.get("applicable_to", "*")
         if applicable != "*":
+            if not isinstance(applicable, (list, tuple)):
+                raise ScenarioError(
+                    f"action {aid}: applicable_to must be \"*\" or a list of "
+                    f"model ids, got {applicable!r}"
+                )
             applicable = tuple(applicable)
         actions.append(
             ActionTemplate(

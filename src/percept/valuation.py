@@ -8,14 +8,14 @@ summed over them.  A node's parents are its net parents at the beliefs the
 valuation was built on; a group's are its model parent groups at their a
 priori priors; a parentless node takes its group's values.
 
-An action bears on context sources: the net parents of its target whose
-labels are the table's parent axis, else the prospective parent groups
-with those labels, else the target itself for a self-bearing table.  One
-contraction over the outcome table ``entries[c, o, p]`` gives, for every
-child label at once, how far the Bayes-rule posterior over a source's
-labels moves from its current probabilities.  It runs once per distinct
-(table, source) in a valuation; every candidate with that table and
-source reads the result.
+An action bears on context sources.  The table's parent axis is one model
+group; the sources are the target's net parents of that group, else that
+group as the target group's prospective model parent, else the target
+itself for a self-bearing table.  One contraction over the outcome table
+``entries[c, o, p]`` gives, for every child label at once, how far the
+Bayes-rule posterior over a source's labels moves from its current
+probabilities.  It runs once per distinct (table, source) in a
+valuation; every candidate with that table and source reads the result.
 A candidate's value at a label adds its sources' contractions in
 precedence order, and its value at a node sums the node's labels in label
 order, so sharing changes no bit of any value.
@@ -105,16 +105,6 @@ class Valuer:
 
     # -- value recursion ---------------------------------------------------
 
-    def _group(self, source: Source) -> str | None:
-        kind, ident = source
-        if kind == "group":
-            return ident
-        node = self.net.node(ident)
-        for ref in node.model_refs.values():
-            if ref is not None:
-                return self.mb.group_of.get(ref)
-        return self.mb.group_for_labels(node.labels)
-
     def _distribution(self, source: Source) -> tuple[tuple[str, ...], np.ndarray]:
         """A source's labels and current probabilities: a node's belief at
         construction, a group's a priori priors."""
@@ -129,7 +119,7 @@ class Valuer:
         if source in self._values:
             return self._values[source]
         kind, ident = source
-        group = self._group(source)
+        group = ident if kind == "group" else self.net.node(ident).group
         labels, _ = self._distribution(source)
         if kind == "node":
             parents = [(("node", pid), cpt) for pid, cpt in self.net.parents(ident)]
@@ -182,27 +172,26 @@ class Valuer:
         """What an action with ``table`` on ``target`` bears on, in precedence
         order.
 
-        Instantiated net parents with the table's parent labels win;
-        otherwise the prospective model parent groups with those labels (a
-        priori probabilities); otherwise, when the parent axis is the
-        target's own label set, the node itself.  Anything else bears on
-        nothing and is worth 0.
+        Sources are matched by group: the table's parent axis is the group
+        the model base resolved for it at load.  Instantiated net parents of
+        that group win; otherwise that group, if the model makes it a parent
+        of the target's group (a priori probabilities); otherwise, when the
+        target is itself of that group, the node itself.  Anything else,
+        including every action on a node with no group, bears on nothing
+        and is worth 0.
         """
+        parent_group = self.mb.table_parent_group[table.id]
         out = tuple(
             ("node", pid)
             for pid, _ in self.net.parents(target)
-            if self.net.node(pid).labels == table.parent_labels
+            if self.net.node(pid).group == parent_group
         )
         if not out:
-            group = self._group(("node", target))
-            if group is not None:
-                out = tuple(
-                    ("group", pg)
-                    for pg, _ in self.mb.group_parents.get(group, ())
-                    if self.mb.hypothesis_set(pg).labels == table.parent_labels
-                )
-        if not out and table.parent_labels == self.net.node(target).labels:
-            out = (("node", target),)
+            group = self.net.node(target).group
+            if any(pg == parent_group for pg, _ in self.mb.group_parents.get(group, ())):
+                out = (("group", parent_group),)
+            elif group == parent_group:
+                out = (("node", target),)
         return out
 
     # -- the operations ------------------------------------------------------

@@ -174,13 +174,18 @@ class World:
     def from_dict(raw: dict, known_types: set[str] | None = None) -> "World":
         entities = {}
         for rec in raw.get("entities", []):
-            ent = WorldEntity(
-                id=rec["id"],
-                type=rec["type"],
-                x=float(rec["x"]),
-                y=float(rec["y"]),
-                member_of=rec.get("member_of"),
-            )
+            try:
+                ent = WorldEntity(
+                    id=rec["id"],
+                    type=rec["type"],
+                    x=float(rec["x"]),
+                    y=float(rec["y"]),
+                    member_of=rec.get("member_of"),
+                )
+            except KeyError as exc:
+                raise ScenarioError(
+                    f"entity {rec.get('id', '?')}: missing field {exc}"
+                ) from None
             if ent.id in entities:
                 raise ScenarioError(f"duplicate entity id {ent.id!r}")
             if known_types is not None and ent.type != VEHICLE_TYPE and ent.type not in known_types:
@@ -407,7 +412,7 @@ def execute_action(
         world.entity(entity.member_of) if entity and entity.member_of else None
     )
 
-    parent_group = model_base.group_for_labels(table.parent_labels)
+    parent_group = model_base.table_parent_group[table.id]
     parent_hs = model_base.hypothesis_set(parent_group)
     if parent_ent is not None and parent_ent.type in table.parent_labels:
         parent_label = parent_ent.type
@@ -437,11 +442,11 @@ def execute_action(
             # matcher runs and genuinely finds no parent formation
             outcome = _sample_null_parent(table, parent_hs.null_label, rng)
             return ActionResult(outcome=outcome)
-        target_labels = net.node(action.target_node).labels
+        target_group = net.node(action.target_node).group
         siblings = tuple(
             nid
             for nid in sorted(net.nodes)
-            if net.node(nid).labels == target_labels
+            if net.node(nid).group == target_group
             and bindings.get(nid) is not None
             and bindings[nid].entity is not None
             and world.entity(bindings[nid].entity).member_of == parent_ent.id

@@ -161,7 +161,7 @@ def _child_net(mb):
     from percept.bayes_net import BayesNet
 
     net = BayesNet()
-    net.instantiate_node(mb.hypothesis_set("cg"), mb.model_refs("cg"), node_id="child")
+    net.instantiate_node(mb.hypothesis_set("cg"), "cg", node_id="child")
     return net
 
 

@@ -185,3 +185,44 @@ class TestValidate:
         bad.write_text(json.dumps({"models": [], "cpts": {}, "outcome_tables": {},
                                    "actions": [], "goal_values": {}}))
         assert main(["validate", "--scenario", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda e: e.update(type="hovercraft"),
+             "entity w-brigade: unknown type 'hovercraft'"),
+            (lambda e: e.pop("x"), "entity w-brigade: missing field 'x'"),
+        ],
+        ids=["unknown-type", "missing-x"],
+    )
+    def test_world_errors_fail_as_in_run(self, tmp_path, capsys, change, message):
+        raw = json.loads(BRIGADE.read_text())
+        change(next(e for e in raw["world"]["entities"] if e["id"] == "w-brigade"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda r: r["control"].update(budget_T="5720"), "control: budget_T"),
+            (lambda r: r["actions"][0].update(cost="400"), "cost"),
+            (lambda r: r["models"][0].update(prior="x"), "prior"),
+            (lambda r: r.update(control=None), "control"),
+            (lambda r: r["actions"][0].update(applicable_to=5), "applicable_to"),
+        ],
+        ids=["budget-string", "cost-string", "prior-string", "control-null",
+             "applicable-to-number"],
+    )
+    def test_malformed_field_types_are_named_errors(self, tmp_path, capsys, change, field):
+        raw = json.loads(BRIGADE.read_text())
+        change(raw)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err

@@ -187,6 +187,39 @@ class TestCandidates:
         assert len(cands) == 2
         assert [c.kind for c in cands] == ["CLASSIFICATION", "REFINE-TYPE"]
 
+    def test_group_templates_are_the_union_over_member_models(self):
+        raw = tiny_scenario(units=2)
+        raw["models"].append({"id": "gadget", "prior": 0.2, "isa_group": "stuff"})
+        labels = ["thing", "gadget", "other"]
+        seen = {  # one certain outcome; each parent slice sums to 1
+            "child_labels": labels, "outcomes": ["seen"], "parent_labels": labels,
+            "entries": [[[float(c == p) for p in labels]] for c in labels],
+        }
+        raw["outcome_tables"] = {
+            "probe": dict(seen, action_kind="CLASSIFICATION"),
+            "terrain": dict(seen, action_kind="TERRAIN-SUPPORT"),
+        }
+        raw["actions"] = [
+            {"id": tid, "kind": kind, "applicable_to": to, "cost": 10,
+             "outcome_table": table}
+            for tid, kind, to, table in [
+                ("gadget-terrain", "TERRAIN-SUPPORT", ["gadget"], "terrain"),
+                ("z-thing", "CLASSIFICATION", ["thing"], "probe"),
+                ("both", "CLASSIFICATION", ["gadget", "thing"], "probe"),
+                ("any", "CLASSIFICATION", "*", "probe"),
+            ]
+        ]
+        mb = build_model_base(raw)
+        expected = ["any", "both", "z-thing", "gadget-terrain"]  # (kind, id) order
+        assert [t.id for t in mb.group_templates["stuff"]] == expected
+        ctl = Controller(mb)
+        ctl.initialize()
+        cands = ctl.enumerate_candidates()
+        assert sorted(ctl.net.nodes) == ["u1", "u2"]
+        for nid in ctl.net.nodes:
+            assert ctl.net.node(nid).group == "stuff"
+            assert [c.template_id for c in cands if c.target_node == nid] == expected
+
     def test_bundled_initial_candidate_kinds(self):
         mb = load_scenario(BRIGADE)
         ctl = Controller(mb)
@@ -257,8 +290,8 @@ class TestBundledRun:
         ctl = Controller(mb)
         ctl.run()
         for edge in ctl.net.edges():
-            child_group = ctl.node_group[edge.child]
-            parent_group = ctl.node_group[edge.parent]
+            child_group = ctl.net.node(edge.child).group
+            parent_group = ctl.net.node(edge.parent).group
             assert any(
                 pg == parent_group for pg, _ in mb.group_parents[child_group]
             ), f"edge {edge} has no model-base counterpart"

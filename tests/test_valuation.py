@@ -55,7 +55,7 @@ def two_level_scenario(entries, outcomes=("o1", "o2"), goal=0.8):
 def child_net(mb):
     net = BayesNet()
     net.instantiate_node(
-        mb.hypothesis_set("cg"), mb.model_refs("cg"), node_id="child"
+        mb.hypothesis_set("cg"), "cg", node_id="child"
     )
     return net
 
@@ -263,7 +263,7 @@ class TestCandidates:
             }
         )
         net = BayesNet()
-        net.instantiate_node(mb.hypothesis_set("rg"), mb.model_refs("rg"), node_id="child")
+        net.instantiate_node(mb.hypothesis_set("rg"), "rg", node_id="child")
         val = Valuer(net, mb)
         act = ActionInstance(
             id="child:act", kind="CLASSIFICATION", target_node="child",
@@ -286,7 +286,7 @@ def table_sources(ctl, cand):
     if not sources:
         sources = [
             ("group", pg)
-            for pg, _ in mb.group_parents.get(ctl.node_group[cand.target_node], ())
+            for pg, _ in mb.group_parents.get(ctl.net.node(cand.target_node).group, ())
             if mb.hypothesis_set(pg).labels == table.parent_labels
         ]
     if not sources and table.parent_labels == net.node(cand.target_node).labels:

@@ -1,12 +1,14 @@
 """Dynamically instantiated Bayes net over hypothesis sets, with exact inference.
 
 Each node is an instance of one model-base group, recorded on the node
-when it is created (hand-built nodes may have none).  The net is kept
+when it is created (hand-built nodes may have none), together with its
+rank, the node's instantiation position.  The net is kept
 singly connected (a polytree): every :meth:`BayesNet.link` call that
 would create an undirected cycle is rejected, so propagation by message
 passing is always exact.  Factors are named by the node that
 owns them: ``("cpt", n)`` is p(n | parents), or n's prior at a root, and
-``("ev", n)`` is the product of n's likelihoods.  After a change to nodes,
+``("ev", n)`` is the product of n's likelihoods; the factors over a node
+are taken in their owners' rank order.  After a change to nodes,
 edges or evidence, the posteriors of each changed component are recomputed
 by a deterministic, iterative two-sweep (leaves to root, then root to
 leaves) over that component's factor tree; priors and evidence factors
@@ -27,11 +29,16 @@ from .model_base import ConditionalTable, HypothesisSet
 
 @dataclass
 class BayesNode:
-    """One instantiated node: a distribution over mutually exclusive labels."""
+    """One instantiated node: a distribution over mutually exclusive labels.
+
+    ``rank`` orders the factors propagation multiplies, and the controller
+    keys the random streams of an action on the node by it.
+    """
 
     id: str
     hypotheses: HypothesisSet
     group: str | None  # the model-base group this node instantiates
+    rank: int  # instantiation position: orders factors, keys random streams
     prior: np.ndarray  # acts as the root prior until a parent is linked
     belief: np.ndarray
     evidence: np.ndarray | None = None  # product of attached likelihoods
@@ -45,7 +52,6 @@ class BayesNode:
 class NetEdge:
     parent: str
     child: str
-    table: str
 
 
 class BayesNet:
@@ -56,7 +62,6 @@ class BayesNet:
         self._parents: dict[str, list[tuple[str, ConditionalTable]]] = {}
         self._children: dict[str, list[str]] = {}
         self._edges: list[NetEdge] = []
-        self._rank: dict[str, int] = {}  # insertion position: orders factors
         self._cpts: dict[str, np.ndarray] = {}  # p(node | all its parents), set by link
         self._dirty: set[str] = set()  # nodes touched since the last propagate
 
@@ -81,10 +86,10 @@ class BayesNet:
             id=node_id,
             hypotheses=hypotheses,
             group=group,
+            rank=len(self.nodes),
             prior=prior,
             belief=prior.copy(),
         )
-        self._rank[node_id] = len(self._rank)
         self._parents[node_id] = []
         self._children[node_id] = []
         self._dirty.add(node_id)
@@ -132,7 +137,7 @@ class BayesNet:
         self._cpts[child] = self._combined_cpt(child, parents)
         self._parents[child] = parents
         self._children[parent].append(child)
-        edge = NetEdge(parent=parent, child=child, table=table.id)
+        edge = NetEdge(parent=parent, child=child)
         self._edges.append(edge)
         self._dirty.add(child)
         return edge
@@ -221,11 +226,11 @@ class BayesNet:
         return (n, *(p for p, _ in ps)), self._cpts[n]
 
     def _node_factors(self, n: str) -> list[tuple[str, str]]:
-        """The factors over n, ordered by owner insertion, cpt before ev."""
+        """The factors over n, ordered by owner rank, cpt before ev."""
         fs = [("cpt", n), *(("cpt", c) for c in self._children[n])]
         if self.nodes[n].evidence is not None:
             fs.append(("ev", n))
-        return sorted(fs, key=lambda f: (self._rank[f[1]], f[0]))
+        return sorted(fs, key=lambda f: (self.nodes[f[1]].rank, f[0]))
 
     def propagate(self) -> None:
         """Recompute the exact posterior marginals of every component that

@@ -149,7 +149,9 @@ def cmd_knapsack(args) -> int:
 
 def cmd_validate(args) -> int:
     mb = load_scenario(args.scenario)
-    World.from_dict(mb.world, known_types=set(mb.nodes))  # as a run builds it
+    # what a run resolves before its first step
+    World.from_dict(mb.world, known_types=set(mb.nodes))
+    mb.leaf_group()
     print(
         f"OK: {len(mb.nodes)} models, {len(mb.groups)} groups, "
         f"{len(mb.actions)} action templates"
@@ -170,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--budget", type=int, default=None)
     run.add_argument("--epsilon", type=float, default=None)
     run.add_argument("--out", default="out")
-    run.add_argument("--trace-level", type=int, default=1, choices=(0, 1, 2))
+    run.add_argument("--trace-level", type=int, default=1, choices=(1, 2))
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="run once per budget and summarize")

@@ -161,7 +161,6 @@ class Controller:
             model_base.world, known_types=set(model_base.nodes)
         )
         self.bindings: dict[str, world_sim.Binding] = {}
-        self.node_seq: dict[str, int] = {}
         self.fired: set[tuple[str, str]] = set()
         self._template_index = {t.id: i for i, t in enumerate(model_base.actions)}
         self.clock = 0
@@ -186,7 +185,6 @@ class Controller:
         for k, cluster in enumerate(self.clusters):
             node_id = f"u{k + 1}"
             self.net.instantiate_node(cluster.seed, leaf, node_id=node_id)
-            self.node_seq[node_id] = len(self.node_seq)
             self.bindings[node_id] = world_sim.bind_cluster(units, cluster, max_extent)
         self.net.propagate()
 
@@ -273,7 +271,6 @@ class Controller:
             parent_id = f"{parent_group}{len(members) + 1}"
             hs = self.mb.hypothesis_set(parent_group)
             self.net.instantiate_node(hs, parent_group, node_id=parent_id)
-            self.node_seq[parent_id] = len(self.node_seq)
             xs = [self.bindings[s].x for s in result.siblings]
             ys = [self.bindings[s].y for s in result.siblings]
             self.bindings[parent_id] = world_sim.Binding(
@@ -308,7 +305,7 @@ class Controller:
                 self.config.seed,
                 stream,
                 step,
-                self.node_seq[action.target_node],
+                self.net.node(action.target_node).rank,
                 self._template_index[action.template_id],
             )
         )

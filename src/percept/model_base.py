@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,12 +83,6 @@ class HypothesisSet:
                 "is not a member"
             )
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownIdError(f"unknown hypothesis label {label!r}") from None
-
     def __eq__(self, other):
         return (
             isinstance(other, HypothesisSet)
@@ -96,9 +90,6 @@ class HypothesisSet:
             and self.null_label == other.null_label
             and np.array_equal(self.priors, other.priors)
         )
-
-    def __len__(self):
-        return len(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,15 +113,6 @@ class ConditionalTable:
         if np.any(bad):
             label = self.parent_labels[int(np.argmax(bad))]
             raise ScenarioError(f"cpt {self.id}: row {label!r} does not sum to 1")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConditionalTable)
-            and self.id == other.id
-            and self.parent_labels == other.parent_labels
-            and self.child_labels == other.child_labels
-            and np.array_equal(self.rows, other.rows)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,17 +165,6 @@ class OutcomeTable:
                 f"outcome table {self.id}: unknown outcome {outcome!r}"
             ) from None
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OutcomeTable)
-            and self.id == other.id
-            and self.action_kind == other.action_kind
-            and self.child_labels == other.child_labels
-            and self.outcomes == other.outcomes
-            and self.parent_labels == other.parent_labels
-            and np.array_equal(self.entries, other.entries)
-        )
-
 
 @dataclass(frozen=True)
 class ActionTemplate:
@@ -223,15 +194,11 @@ class ModelNode:
     """One a priori object model inside a confusion group."""
 
     id: str
-    label: str
-    prior: float
     isa_group: str
     parts: tuple[tuple[str, str], ...] = ()  # (child model id, cpt id)
     min_parts: int = 1  # confirmed children a match needs before proposing this node
 
     def __post_init__(self):
-        if not (0.0 <= self.prior <= 1.0):
-            raise ScenarioError(f"model {self.id}: prior {self.prior} outside [0, 1]")
         if self.min_parts < 1:
             raise ScenarioError(f"model {self.id}: min_parts must be >= 1")
 
@@ -483,20 +450,6 @@ class ModelBase:
             self.nodes, lambda mid: [c for c, _ in self.nodes[mid].parts], "part-of"
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, ModelBase):
-            return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.groups == other.groups
-            and self.cpts == other.cpts
-            and self.outcome_tables == other.outcome_tables
-            and self.actions == other.actions
-            and self.goal_values == other.goal_values
-            and self.world == other.world
-            and self.control == other.control
-        )
-
 
 def _topological(keys, children, what: str) -> tuple[str, ...]:
     """Keys ordered parents first, by depth-first search; raises
@@ -542,15 +495,18 @@ def _build_groups(models: list[dict]) -> tuple[dict[str, ModelNode], dict[str, H
         members.setdefault(group, []).append(mid)
         if prior is None:
             unspecified.setdefault(group, []).append(mid)
-        parts = tuple(
-            (p["child"], p["cpt"]) for p in rec.get("parts", [])
-        )
+        parts = rec.get("parts", [])
+        if not isinstance(parts, list) or not all(
+            isinstance(p, dict) and "child" in p and "cpt" in p for p in parts
+        ):
+            raise ScenarioError(
+                f"model {mid}: parts must be a list of {{child, cpt}} objects, "
+                f"got {parts!r}"
+            )
         nodes[mid] = ModelNode(
             id=mid,
-            label=rec.get("label", mid),
-            prior=0.0,  # placeholder, resolved below
             isa_group=group,
-            parts=parts,
+            parts=tuple((p["child"], p["cpt"]) for p in parts),
             min_parts=int(_number(rec.get("min_parts", 1), f"model {mid}: min_parts")),
         )
 
@@ -577,8 +533,6 @@ def _build_groups(models: list[dict]) -> tuple[dict[str, ModelNode], dict[str, H
             labels = tuple(ids)
             null = None
         groups[group] = HypothesisSet(labels=labels, priors=np.array(priors), null_label=null)
-        for m, p in zip(ids, priors):
-            nodes[m] = replace(nodes[m], prior=float(p))
     return nodes, groups
 
 

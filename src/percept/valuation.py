@@ -229,8 +229,10 @@ class Valuer:
             self._contractions[key] = self._context_values(table, source)
         return self._contractions[key]
 
-    def _summed(self, table: OutcomeTable, sources: tuple[Source, ...]) -> list[float]:
-        """Per child label, the contractions over ``sources`` added in order."""
+    def _label_values(self, action: ActionInstance, table: OutcomeTable) -> list[float]:
+        """The action's value at each child label of ``table``: its sources'
+        contractions added in precedence order, once per (table, sources)."""
+        sources = self._sources(action.target_node, table)
         key = (table.id, sources)
         if key not in self._sums:
             total = np.zeros(len(table.child_labels))
@@ -239,25 +241,14 @@ class Valuer:
             self._sums[key] = total.tolist()
         return self._sums[key]
 
-    def _label_values(
-        self, action: ActionInstance, labels: tuple[str, ...]
-    ) -> list[float]:
-        """The action's value at each of ``labels``, summed over its sources in
-        precedence order."""
-        table = self.mb.outcome_table(action.outcome_table)
-        for label in labels:
-            if label not in table.child_labels:
-                raise UnsupportedConfigurationError(
-                    f"action {action.id}: table {table.id} does not cover label {label!r}"
-                )
-        total = self._summed(table, self._sources(action.target_node, table))
-        values = [total[table.child_labels.index(lab)] for lab in labels]
-        for label, value in zip(labels, values):
-            if math.isnan(value):
-                raise UnsupportedConfigurationError(
-                    f"action {action.id}: zero probability for label {label!r}"
-                )
-        return values
+    @staticmethod
+    def _defined(action: ActionInstance, label: str, value: float) -> float:
+        """``value``, unless NaN: the table gives ``label`` zero probability."""
+        if math.isnan(value):
+            raise UnsupportedConfigurationError(
+                f"action {action.id}: zero probability for label {label!r}"
+            )
+        return value
 
     def posterior_given_action(
         self, parent_label: str, child_label: str, action: ActionInstance
@@ -280,7 +271,13 @@ class Valuer:
         )
 
     def value_of_action_at_hypothesis(self, h_label: str, action: ActionInstance) -> float:
-        return self._label_values(action, (h_label,))[0]
+        table = self.mb.outcome_table(action.outcome_table)
+        if h_label not in table.child_labels:
+            raise UnsupportedConfigurationError(
+                f"action {action.id}: table {table.id} does not cover label {h_label!r}"
+            )
+        value = self._label_values(action, table)[table.child_labels.index(h_label)]
+        return self._defined(action, h_label, value)
 
     def value_of_action_at_node(self, action: ActionInstance) -> float:
         """Sum of per-hypothesis values over the target node's labels."""
@@ -291,7 +288,8 @@ class Valuer:
                 f"action {action.id}: table {table.id} child labels do not match "
                 f"node {node.id!r}"
             )
-        return float(sum(self._label_values(action, node.labels)))
+        values = zip(node.labels, self._label_values(action, table))
+        return float(sum(self._defined(action, lab, v) for lab, v in values))
 
     def value_all_candidates(self, candidates) -> list[ActionInstance]:
         """Fill in the value of every candidate; equal (table, sources) pairs

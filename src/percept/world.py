@@ -14,9 +14,13 @@ import numpy as np
 
 from .bayes_net import BayesNet
 from .errors import ScenarioError, UnknownIdError
-from .model_base import NO_MATCH_OUTCOME, HypothesisSet, ModelBase
+from .model_base import NO_MATCH_OUTCOME, HypothesisSet, ModelBase, _number
 
 VEHICLE_TYPE = "vehicle"
+
+
+_DEFAULT_TERRAIN = {"width": 1, "height": 1, "cells": [["open"]],
+                    "support": {"open": {"default": "supports"}}}
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,6 @@ class Detection:
     y: float
     strength: float  # detection likelihood in [0, 1]
     is_false_alarm: bool = False  # hidden from the engine; scoring only
-    source: str | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.strength <= 1.0):
@@ -171,44 +174,77 @@ class World:
                 cur = self.entities[cur].member_of
 
     @staticmethod
-    def from_dict(raw: dict, known_types: set[str] | None = None) -> "World":
+    def from_dict(raw: dict, known_types: set[str]) -> "World":
+        """The world of a scenario's ``world`` section.
+
+        An absent key takes its default; a malformed value is a
+        ScenarioError naming its field.
+        """
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"world: expected an object, got {raw!r}")
+
+        sections = {"": raw}
+        for key in ("terrain", "cluster_params", "search", "detection_strength"):
+            value = raw.get(key, _DEFAULT_TERRAIN if key == "terrain" else {})
+            if not isinstance(value, dict):
+                raise ScenarioError(f"world: {key}: expected an object, got {value!r}")
+            sections[key] = value
+
+        def num(path: str, default=None):
+            """The number at ``[section.]key``, or ``default`` if it is absent."""
+            name, _, key = path.rpartition(".")
+            return _number(sections[name].get(key, default), f"world: {path}")
+
         entities = {}
         for rec in raw.get("entities", []):
+            eid = rec.get("id", "?")
             try:
                 ent = WorldEntity(
                     id=rec["id"],
                     type=rec["type"],
-                    x=float(rec["x"]),
-                    y=float(rec["y"]),
+                    x=float(_number(rec["x"], f"entity {eid}: x")),
+                    y=float(_number(rec["y"], f"entity {eid}: y")),
                     member_of=rec.get("member_of"),
                 )
             except KeyError as exc:
-                raise ScenarioError(
-                    f"entity {rec.get('id', '?')}: missing field {exc}"
-                ) from None
+                raise ScenarioError(f"entity {eid}: missing field {exc}") from None
             if ent.id in entities:
                 raise ScenarioError(f"duplicate entity id {ent.id!r}")
-            if known_types is not None and ent.type != VEHICLE_TYPE and ent.type not in known_types:
+            if ent.type != VEHICLE_TYPE and ent.type not in known_types:
                 raise ScenarioError(f"entity {ent.id}: unknown type {ent.type!r}")
             entities[ent.id] = ent
-        t = raw.get("terrain", {"width": 1, "height": 1, "cells": [["open"]], "support": {"open": {"default": "supports"}}})
-        grid = TerrainGrid(t["width"], t["height"], t["cells"], t.get("support", {}))
-        cp = raw.get("cluster_params", {})
-        params = ClusterParams(
-            max_intervehicle_distance=float(cp.get("max_intervehicle_distance", 1.0)),
-            min_count=int(cp.get("min_count", 1)),
-            max_count=int(cp.get("max_count", 10**6)),
-            max_extent=float(cp.get("max_extent", 1e9)),
+        t = sections["terrain"]
+        for key in ("width", "height", "cells"):
+            if key not in t:
+                raise ScenarioError(f"world: terrain: missing field {key!r}")
+        grid = TerrainGrid(
+            num("terrain.width"), num("terrain.height"), t["cells"], t.get("support", {})
         )
+        params = ClusterParams(
+            max_intervehicle_distance=float(
+                num("cluster_params.max_intervehicle_distance", 1.0)
+            ),
+            min_count=int(num("cluster_params.min_count", 1)),
+            max_count=int(num("cluster_params.max_count", 10**6)),
+            max_extent=float(num("cluster_params.max_extent", 1e9)),
+        )
+        optional = {}  # only the keys present: World's own defaults cover the rest
+        if "confirm_belief" in sections["search"]:
+            optional["confirm_belief"] = float(num("search.confirm_belief"))
+        strength = sections["detection_strength"]
+        for key in ("true", "false"):
+            if key in strength:
+                pair, what = strength[key], f"world: detection_strength.{key}"
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ScenarioError(f"{what}: expected [low, high], got {pair!r}")
+                optional[f"strength_{key}"] = tuple(_number(v, what) for v in pair)
         return World(
             entities=entities,
             terrain=grid,
-            detect_prob=float(raw.get("detect_prob", 1.0)),
-            false_alarm_rate=float(raw.get("false_alarm_rate", 0.0)),
+            detect_prob=float(num("detect_prob", 1.0)),
+            false_alarm_rate=float(num("false_alarm_rate", 0.0)),
             cluster_params=params,
-            confirm_belief=float(raw.get("search", {}).get("confirm_belief", 0.8)),
-            strength_true=tuple(raw.get("detection_strength", {}).get("true", (0.6, 0.95))),
-            strength_false=tuple(raw.get("detection_strength", {}).get("false", (0.05, 0.45))),
+            **optional,
         )
 
     def vehicles(self) -> list[WorldEntity]:
@@ -221,15 +257,12 @@ class World:
             raise UnknownIdError(f"unknown entity {entity_id!r}") from None
 
 
-def generate_detections(
-    world: World, rng: np.random.Generator | None = None
-) -> tuple[Detection, ...]:
+def generate_detections(world: World, rng: np.random.Generator) -> tuple[Detection, ...]:
     """Detect each true vehicle independently; scatter uniform false alarms.
 
     The false alarm rate is an expected count per unit of map area.
     Deterministic given the generator state.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     lo, hi = world.strength_true
     out = []
     for veh in world.vehicles():
@@ -240,7 +273,6 @@ def generate_detections(
                     y=veh.y,
                     strength=float(rng.uniform(lo, hi)),
                     is_false_alarm=False,
-                    source=veh.id,
                 )
             )
     area = world.terrain.width * world.terrain.height

@@ -175,6 +175,10 @@ class TestSweep:
         assert len(lines) == 3
 
 
+def _w_brigade(raw):
+    return next(e for e in raw["world"]["entities"] if e["id"] == "w-brigade")
+
+
 class TestValidate:
     def test_bundled_ok(self, capsys):
         assert main(["validate", "--scenario", str(BRIGADE)]) == 0
@@ -189,15 +193,20 @@ class TestValidate:
     @pytest.mark.parametrize(
         "change, message",
         [
-            (lambda e: e.update(type="hovercraft"),
+            (lambda r: _w_brigade(r).update(type="hovercraft"),
              "entity w-brigade: unknown type 'hovercraft'"),
-            (lambda e: e.pop("x"), "entity w-brigade: missing field 'x'"),
+            (lambda r: _w_brigade(r).pop("x"),
+             "entity w-brigade: missing field 'x'"),
+            (lambda r: r["models"].append(
+                {"id": "decoy", "isa_group": "decoys", "prior": 0.3}),
+             "expected exactly one leaf group for clustering, "
+             "found ['company', 'decoys']"),
         ],
-        ids=["unknown-type", "missing-x"],
+        ids=["unknown-type", "missing-x", "second-leaf-group"],
     )
     def test_world_errors_fail_as_in_run(self, tmp_path, capsys, change, message):
         raw = json.loads(BRIGADE.read_text())
-        change(next(e for e in raw["world"]["entities"] if e["id"] == "w-brigade"))
+        change(raw)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert main(["validate", "--scenario", str(bad)]) == 1
@@ -214,9 +223,20 @@ class TestValidate:
             (lambda r: r["models"][0].update(prior="x"), "prior"),
             (lambda r: r.update(control=None), "control"),
             (lambda r: r["actions"][0].update(applicable_to=5), "applicable_to"),
+            (lambda r: r["world"].update(detect_prob=None), "world: detect_prob"),
+            (lambda r: r["models"][0].update(parts=5), "parts"),
+            (lambda r: r["world"]["cluster_params"].update(min_count="2"),
+             "world: cluster_params.min_count"),
+            (lambda r: r["world"]["terrain"].pop("width"),
+             "world: terrain: missing field 'width'"),
+            (lambda r: r["world"].update(cluster_params=None), "world: cluster_params"),
+            (lambda r: r["world"]["detection_strength"].update(true=[0.6]),
+             "world: detection_strength.true"),
         ],
         ids=["budget-string", "cost-string", "prior-string", "control-null",
-             "applicable-to-number"],
+             "applicable-to-number", "detect-prob-null", "parts-number",
+             "min-count-string", "terrain-without-width", "cluster-params-null",
+             "strength-not-a-pair"],
     )
     def test_malformed_field_types_are_named_errors(self, tmp_path, capsys, change, field):
         raw = json.loads(BRIGADE.read_text())

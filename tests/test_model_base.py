@@ -72,9 +72,6 @@ class TestLoad:
         with pytest.raises(UnknownIdError):
             mb.templates_for("nonesuch")
 
-    def test_load_is_deterministic(self):
-        assert load_scenario(BRIGADE) == load_scenario(BRIGADE)
-
     def test_generator_reproduces_bundle(self):
         path = BRIGADE.parents[3] / "tools" / "gen_brigade_scenario.py"
         spec = importlib.util.spec_from_file_location("gen_brigade_scenario", path)

@@ -330,7 +330,7 @@ class BayesNet:
                 {
                     "id": nid,
                     "labels": list(node.labels),
-                    "belief": [float(b) for b in node.belief],
+                    "belief": node.belief.tolist(),
                 }
                 for nid, node in self.nodes.items()
             ],

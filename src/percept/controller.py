@@ -373,7 +373,7 @@ class Controller:
                 action,
                 self.world,
                 self.net,
-                self._keyed_rng(_ACTION_STREAM, index, action),
+                lambda: self._keyed_rng(_ACTION_STREAM, index, action),
                 self.bindings,
                 self.mb,
             )

@@ -43,6 +43,18 @@ def _number(value, what: str):
     return value
 
 
+def _fields(rec, path: str, keys: tuple[str, ...]) -> list:
+    """The values at ``keys`` of the record at ``path``, all required; a
+    missing one, or a record that is no object, is a ScenarioError naming
+    ``path``."""
+    if not isinstance(rec, dict):
+        raise ScenarioError(f"{path}: expected an object, got {rec!r}")
+    for key in keys:
+        if key not in rec:
+            raise ScenarioError(f"{path}: missing {key!r}")
+    return [rec[key] for key in keys]
+
+
 def _as_prob_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -568,22 +580,30 @@ def build_model_base(raw: dict) -> ModelBase:
 
     cpts = {}
     for cid, rec in raw["cpts"].items():
+        parents, children, rows = _fields(
+            rec, f"cpts.{cid}", ("parent_labels", "child_labels", "rows")
+        )
         cpts[cid] = ConditionalTable(
             id=cid,
-            parent_labels=tuple(rec["parent_labels"]),
-            child_labels=tuple(rec["child_labels"]),
-            rows=np.array(rec["rows"], dtype=float),
+            parent_labels=tuple(parents),
+            child_labels=tuple(children),
+            rows=np.array(rows, dtype=float),
         )
 
     tables = {}
     for tid, rec in raw["outcome_tables"].items():
+        kind, children, outcomes, parents, entries = _fields(
+            rec,
+            f"outcome_tables.{tid}",
+            ("action_kind", "child_labels", "outcomes", "parent_labels", "entries"),
+        )
         tables[tid] = OutcomeTable(
             id=tid,
-            action_kind=rec["action_kind"],
-            child_labels=tuple(rec["child_labels"]),
-            outcomes=tuple(rec["outcomes"]),
-            parent_labels=tuple(rec["parent_labels"]),
-            entries=np.array(rec["entries"], dtype=float),
+            action_kind=kind,
+            child_labels=tuple(children),
+            outcomes=tuple(outcomes),
+            parent_labels=tuple(parents),
+            entries=np.array(entries, dtype=float),
         )
 
     actions = []

@@ -18,7 +18,7 @@ probabilities.  It runs once per distinct (table, source) in a
 valuation; every candidate with that table and source reads the result.
 A candidate's value at a label adds its sources' contractions in
 precedence order, and its value at a node sums the node's labels in label
-order, so sharing changes no bit of any value.
+order, once per (table, sources), so sharing changes no bit of any value.
 
 Two modes are provided.  OUTCOME_MARGINAL marginalizes the action's outcomes
 before applying Bayes rule, so an action whose outcomes are informative
@@ -81,9 +81,11 @@ def _marginal_posteriors(
 class Valuer:
     """Values candidate actions against one immutable snapshot of the net.
 
-    Label values are computed once per source and contractions once per
-    (outcome table, source); candidates share both.  The valuation mode is
-    fixed at construction.
+    Label values are computed once per source, contractions once per
+    (outcome table, source), an action's sources once per (target, parent
+    group) and a node value once per (outcome table, sources); candidates
+    share them all.  The net's structure must not change while a Valuer
+    lives.  The valuation mode is fixed at construction.
     """
 
     def __init__(
@@ -97,7 +99,8 @@ class Valuer:
         self.mode = mode
         self.posterior_evals = 0  # contractions: one per (table, source)
         self._contractions: dict[tuple[str, Source], np.ndarray] = {}
-        self._sums: dict[tuple[str, tuple[Source, ...]], list[float]] = {}
+        self._sources_of: dict[tuple[str, str], tuple[Source, ...]] = {}
+        self._totals: dict[tuple[str, tuple[Source, ...]], float] = {}
         self._values: dict[Source, np.ndarray] = {}
         self._beliefs: dict[str, np.ndarray] = {
             nid: net.belief(nid) for nid in net.nodes
@@ -178,9 +181,12 @@ class Valuer:
         of the target's group (a priori probabilities); otherwise, when the
         target is itself of that group, the node itself.  Anything else,
         including every action on a node with no group, bears on nothing
-        and is worth 0.
+        and is worth 0.  Resolved once per (target, parent group).
         """
         parent_group = self.mb.table_parent_group[table.id]
+        key = (target, parent_group)
+        if key in self._sources_of:
+            return self._sources_of[key]
         out = tuple(
             ("node", pid)
             for pid, _ in self.net.parents(target)
@@ -192,6 +198,7 @@ class Valuer:
                 out = (("group", parent_group),)
             elif group == parent_group:
                 out = (("node", target),)
+        self._sources_of[key] = out
         return out
 
     # -- the operations ------------------------------------------------------
@@ -229,17 +236,15 @@ class Valuer:
             self._contractions[key] = self._context_values(table, source)
         return self._contractions[key]
 
-    def _label_values(self, action: ActionInstance, table: OutcomeTable) -> list[float]:
-        """The action's value at each child label of ``table``: its sources'
-        contractions added in precedence order, once per (table, sources)."""
-        sources = self._sources(action.target_node, table)
-        key = (table.id, sources)
-        if key not in self._sums:
-            total = np.zeros(len(table.child_labels))
-            for source in sources:
-                total = total + self._contraction(table, source)
-            self._sums[key] = total.tolist()
-        return self._sums[key]
+    def _label_values(
+        self, table: OutcomeTable, sources: tuple[Source, ...]
+    ) -> list[float]:
+        """The value at each child label of ``table``: the sources'
+        contractions added in precedence order."""
+        total = np.zeros(len(table.child_labels))
+        for source in sources:
+            total = total + self._contraction(table, source)
+        return total.tolist()
 
     @staticmethod
     def _defined(action: ActionInstance, label: str, value: float) -> float:
@@ -276,11 +281,13 @@ class Valuer:
             raise UnsupportedConfigurationError(
                 f"action {action.id}: table {table.id} does not cover label {h_label!r}"
             )
-        value = self._label_values(action, table)[table.child_labels.index(h_label)]
+        sources = self._sources(action.target_node, table)
+        value = self._label_values(table, sources)[table.child_labels.index(h_label)]
         return self._defined(action, h_label, value)
 
     def value_of_action_at_node(self, action: ActionInstance) -> float:
-        """Sum of per-hypothesis values over the target node's labels."""
+        """Sum of per-hypothesis values over the target node's labels, once
+        per (table, sources)."""
         node = self.net.node(action.target_node)
         table = self.mb.outcome_table(action.outcome_table)
         if table.child_labels != node.labels:
@@ -288,8 +295,12 @@ class Valuer:
                 f"action {action.id}: table {table.id} child labels do not match "
                 f"node {node.id!r}"
             )
-        values = zip(node.labels, self._label_values(action, table))
-        return float(sum(self._defined(action, lab, v) for lab, v in values))
+        sources = self._sources(node.id, table)
+        key = (table.id, sources)
+        if key not in self._totals:
+            values = zip(node.labels, self._label_values(table, sources))
+            self._totals[key] = float(sum(self._defined(action, lab, v) for lab, v in values))
+        return self._totals[key]
 
     def value_all_candidates(self, candidates) -> list[ActionInstance]:
         """Fill in the value of every candidate; equal (table, sources) pairs

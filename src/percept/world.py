@@ -8,6 +8,7 @@ searches, the matched sibling node set), never the truth itself.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +197,12 @@ class World:
             return _number(sections[name].get(key, default), f"world: {path}")
 
         entities = {}
-        for rec in raw.get("entities", []):
+        records = raw.get("entities", [])
+        if not isinstance(records, list):
+            raise ScenarioError(f"world: entities: expected a list, got {records!r}")
+        for i, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                raise ScenarioError(f"world: entities[{i}]: expected an object, got {rec!r}")
             eid = rec.get("id", "?")
             try:
                 ent = WorldEntity(
@@ -217,8 +223,14 @@ class World:
         for key in ("width", "height", "cells"):
             if key not in t:
                 raise ScenarioError(f"world: terrain: missing field {key!r}")
+        cells = t["cells"]
+        if not isinstance(cells, list):
+            raise ScenarioError(f"world: terrain.cells: expected a list of rows, got {cells!r}")
+        for i, row in enumerate(cells):
+            if not isinstance(row, list):
+                raise ScenarioError(f"world: terrain.cells[{i}]: expected a list, got {row!r}")
         grid = TerrainGrid(
-            num("terrain.width"), num("terrain.height"), t["cells"], t.get("support", {})
+            num("terrain.width"), num("terrain.height"), cells, t.get("support", {})
         )
         params = ClusterParams(
             max_intervehicle_distance=float(
@@ -422,7 +434,7 @@ def execute_action(
     action,
     world: World,
     net: BayesNet,
-    rng: np.random.Generator,
+    rng: Callable[[], np.random.Generator],
     bindings: dict[str, Binding],
     model_base: ModelBase,
 ) -> ActionResult:
@@ -434,6 +446,10 @@ def execute_action(
     deterministic grid lookup.  SEARCH reports ``no_match`` unless the
     matcher can assemble enough confirmed sibling hypotheses around the
     true parent, and on a match carries the sibling set for instantiation.
+
+    ``rng`` makes the generator to sample from.  It is called once, and
+    only when an outcome is sampled: a terrain lookup or a search that
+    aborts builds no generator.
     """
     table = model_base.outcome_table(action.outcome_table)
     binding = bindings.get(action.target_node)
@@ -472,7 +488,7 @@ def execute_action(
         if entity is None or parent_ent is None:
             # an established hypothesis with nothing real behind it: the
             # matcher runs and genuinely finds no parent formation
-            outcome = _sample_null_parent(table, parent_hs.null_label, rng)
+            outcome = _sample_null_parent(table, parent_hs.null_label, rng())
             return ActionResult(outcome=outcome)
         target_group = net.node(action.target_node).group
         siblings = tuple(
@@ -486,7 +502,7 @@ def execute_action(
         )
         if len(siblings) < model_base.node(parent_ent.type).min_parts:
             return ActionResult(outcome=NO_MATCH_OUTCOME, informative=False)
-        outcome = _sample_outcome(table, entity.type, parent_label, rng)
+        outcome = _sample_outcome(table, entity.type, parent_label, rng())
         if outcome == NO_MATCH_OUTCOME:
             return ActionResult(outcome=outcome)
         return ActionResult(
@@ -495,9 +511,9 @@ def execute_action(
 
     # REFINE-TYPE, REFINE-FORMATION, CLASSIFICATION: plain table sampling
     if entity is None:
-        outcome = _sample_null_parent(table, parent_hs.null_label, rng)
+        outcome = _sample_null_parent(table, parent_hs.null_label, rng())
     else:
-        outcome = _sample_outcome(table, entity.type, parent_label, rng)
+        outcome = _sample_outcome(table, entity.type, parent_label, rng())
     return ActionResult(outcome=outcome)
 
 

@@ -201,8 +201,15 @@ class TestValidate:
                 {"id": "decoy", "isa_group": "decoys", "prior": 0.3}),
              "expected exactly one leaf group for clustering, "
              "found ['company', 'decoys']"),
+            (lambda r: r["world"]["entities"].append(5),
+             "world: entities[36]: expected an object, got 5"),
+            (lambda r: r["world"]["terrain"].update(cells=5),
+             "world: terrain.cells: expected a list of rows, got 5"),
+            (lambda r: r["world"]["terrain"]["cells"].append(5),
+             "world: terrain.cells[8]: expected a list, got 5"),
         ],
-        ids=["unknown-type", "missing-x", "second-leaf-group"],
+        ids=["unknown-type", "missing-x", "second-leaf-group", "entity-number",
+             "cells-number", "cells-row-number"],
     )
     def test_world_errors_fail_as_in_run(self, tmp_path, capsys, change, message):
         raw = json.loads(BRIGADE.read_text())
@@ -214,6 +221,22 @@ class TestValidate:
         assert err == f"error: {message}\n"
         assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "section, record, key",
+        [("cpts", "cpt_force", k) for k in ("parent_labels", "child_labels", "rows")]
+        + [
+            ("outcome_tables", "class_company", k)
+            for k in ("action_kind", "child_labels", "outcomes", "parent_labels", "entries")
+        ],
+    )
+    def test_missing_table_key_names_its_path(self, tmp_path, capsys, section, record, key):
+        raw = json.loads(BRIGADE.read_text())
+        del raw[section][record][key]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {section}.{record}: missing {key!r}\n"
 
     @pytest.mark.parametrize(
         "change, field",

@@ -362,6 +362,10 @@ class TestSharedValuation:
     def test_tiled_run(self, monkeypatch):
         self.check_run(monkeypatch, tiled_brigade(4), seed=3)
 
+    def test_tiled_8_run(self, monkeypatch):
+        """The benchmark's tiled-8 world: many candidates share each key."""
+        self.check_run(monkeypatch, tiled_brigade(8), seed=7)
+
 
 def test_values_read_the_construction_time_beliefs():
     """A Valuer values against the beliefs of its construction, even when

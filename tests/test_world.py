@@ -1,6 +1,7 @@
 """Ground truth, detection statistics, clustering, and outcome sampling."""
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -292,7 +293,7 @@ class TestExecution:
         hits = 0
         n = 4000
         for _ in range(n):
-            res = execute_action(act, ctl.world, ctl.net, rng, ctl.bindings, mb)
+            res = execute_action(act, ctl.world, ctl.net, lambda: rng, ctl.bindings, mb)
             hits += res.outcome == "class-battery"
         assert hits / n >= 0.88  # table rate is 0.90
 
@@ -320,7 +321,7 @@ class TestExecution:
         act = self.find(ctl, "TERRAIN-SUPPORT", "u1")
         outs = {
             execute_action(
-                act, ctl.world, ctl.net, np.random.default_rng(s), ctl.bindings, mb
+                act, ctl.world, ctl.net, lambda: np.random.default_rng(s), ctl.bindings, mb
             ).outcome
             for s in range(10)
         }
@@ -332,7 +333,7 @@ class TestExecution:
         mb, ctl = started
         act = self.find(ctl, "SEARCH", "u1")
         res = execute_action(
-            act, ctl.world, ctl.net, np.random.default_rng(0), ctl.bindings, mb
+            act, ctl.world, ctl.net, lambda: np.random.default_rng(0), ctl.bindings, mb
         )
         assert res.outcome == "no_match"
         assert not res.informative
@@ -356,7 +357,7 @@ class TestExecution:
         team_node = next(n for n, b in ctl.bindings.items() if b.entity == "w-team-a")
         act = self.find(ctl, "SEARCH", team_node)
         res = execute_action(
-            act, ctl.world, ctl.net, np.random.default_rng(1), ctl.bindings, mb
+            act, ctl.world, ctl.net, lambda: np.random.default_rng(1), ctl.bindings, mb
         )
         assert res.outcome == "match"
         assert res.parent_entity == "w-tf"
@@ -367,9 +368,31 @@ class TestExecution:
 
         mb, ctl = started
         act = self.find(ctl, "REFINE-TYPE", "u2")
-        a = execute_action(act, ctl.world, ctl.net, np.random.default_rng(4), ctl.bindings, mb)
-        b = execute_action(act, ctl.world, ctl.net, np.random.default_rng(4), ctl.bindings, mb)
+        rng = partial(np.random.default_rng, 4)
+        a = execute_action(act, ctl.world, ctl.net, rng, ctl.bindings, mb)
+        b = execute_action(act, ctl.world, ctl.net, rng, ctl.bindings, mb)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "kind, calls",
+        [("TERRAIN-SUPPORT", 0), ("SEARCH", 0), ("CLASSIFICATION", 1)],
+    )
+    def test_generator_built_only_to_sample(self, started, kind, calls):
+        """A lookup or an aborted search builds no generator; a sampled
+        outcome builds exactly one."""
+        from percept.world import execute_action
+
+        mb, ctl = started
+        made = []
+
+        def factory():
+            made.append(1)
+            return np.random.default_rng(0)
+
+        act = self.find(ctl, kind, "u1")
+        res = execute_action(act, ctl.world, ctl.net, factory, ctl.bindings, mb)
+        assert len(made) == calls
+        assert res.informative == (kind != "SEARCH")  # u1 is unconfirmed
 
 
 def test_membership_cycle_rejected():

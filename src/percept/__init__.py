@@ -22,7 +22,6 @@ from .controller import (
 )
 from .errors import (
     CyclicModelError,
-    ExactSolverLimitError,
     InconsistentEvidenceError,
     PolytreeError,
     ScenarioError,

@@ -30,7 +30,3 @@ class UnsupportedConfigurationError(ValueError):
 
 class UnvaluedAncestorError(ValueError):
     """Value recursion reached an ancestor with no assigned value."""
-
-
-class ExactSolverLimitError(ValueError):
-    """Instance exceeds the limits of the exact knapsack oracle."""

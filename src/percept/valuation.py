@@ -57,10 +57,6 @@ class ActionInstance:
     template_id: str
     value: float = 0.0
 
-    def __post_init__(self):
-        if self.cost < 0:
-            raise ValueError(f"action {self.id}: negative cost")
-
 
 # what an action bears on, and what the value recursion runs over:
 # ("node", node id) or ("group", group id)

@@ -15,10 +15,17 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from percept.bayes_net import BayesNet
 from percept.model_base import ConditionalTable, HypothesisSet
-from percept.planner import EMPTY_PLAN, KnapsackInstance, Plan, _plan_from_ids
+from percept.planner import (
+    EMPTY_PLAN,
+    TABLE_CELL_LIMIT,
+    KnapsackInstance,
+    Plan,
+    _plan_from_ids,
+)
 from percept.world import Cluster, ClusterParams
 
 
@@ -239,9 +246,9 @@ def brute_force_knapsack(items, budget):
     return -best[0], best[1], best[2]
 
 
-# The value-scaling solver as it was before its table was cut at the
-# Dantzig bound: min_cost and keep span every scaled value sum.  Kept
-# verbatim as the reference the bounded solver must match plan for plan.
+# The value-scaling scheme over its full table: min_cost and keep span
+# every scaled value sum.  The reference that ``solve_approx``'s table over
+# cost must match plan for plan.
 def unbounded_solve_approx(inst: KnapsackInstance, epsilon: float) -> Plan:
     """Approximate plan with relative value error strictly below ``epsilon``.
 
@@ -283,6 +290,43 @@ def unbounded_solve_approx(inst: KnapsackInstance, epsilon: float) -> Plan:
             sel.append(items[i].id)
             s -= scaled[i]
     return _plan_from_ids(inst, sel)
+
+
+# Knapsack instances (as ``percept knapsack`` reads them) that every solver
+# rejects, each with the start of its ValueError message: a cost off a
+# whole number by any amount, however small; costs 1 and TABLE_CELL_LIMIT,
+# whose table over gcd 1 holds more cells than the limit; and malformed
+# records.
+def _bad_instance(name, items, message, budget=3):
+    return pytest.param({"items": items, "budget_T": budget}, message, id=name)
+
+
+BAD_KNAPSACK_INSTANCES = [
+    *(
+        _bad_instance(
+            f"cost-{cost!r}",
+            [{"id": "a", "value": 1, "cost": cost}, {"id": "b", "value": 1, "cost": 1}],
+            f"item a: cost must be a whole number, got {cost!r}",
+        )
+        for cost in (1 + 1e-12, 3 - 1e-12, 2.5)
+    ),
+    _bad_instance(
+        "cell-limit",
+        [{"id": "a", "value": 1, "cost": 1},
+         {"id": "b", "value": 1, "cost": TABLE_CELL_LIMIT}],
+        "a knapsack table of ",
+        budget=TABLE_CELL_LIMIT,
+    ),
+    _bad_instance("no-cost", [{"id": "a", "value": 1}], "items[0]: missing 'cost'"),
+    _bad_instance(
+        "value-x",
+        [{"id": "a", "value": "x", "cost": 1}],
+        "items[0]: value: expected a number, got 'x'",
+    ),
+    _bad_instance("items-5", 5, "items: expected a list, got 5"),
+    _bad_instance("budget-list", [], "budget_T: expected a number, got []", budget=[]),
+    pytest.param([{"items": []}], "instance: expected an object", id="list"),
+]
 
 
 # -- bundled and tiled scenarios ------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import tiny_scenario
+from helpers import BAD_KNAPSACK_INSTANCES, tiny_scenario
 from percept.cli import TRACE_COLUMNS, main
 
 BRIGADE = Path(__file__).resolve().parents[1] / "src/percept/scenarios/brigade.json"
@@ -129,6 +129,15 @@ class TestKnapsack:
         p = self.write(tmp_path, STEP1_INSTANCE)
         assert main(["knapsack", "--instance", str(p), "--epsilon", "0"]) == 1
         assert "error: epsilon" in capsys.readouterr().err
+
+    # a bad instance is a named error and exit 1 under either solver; an
+    # escaped exception would fail the test rather than print a traceback
+    @pytest.mark.parametrize("flag", ["--exact", "--epsilon=0.1"])
+    @pytest.mark.parametrize("raw, message", BAD_KNAPSACK_INSTANCES)
+    def test_bad_instance_exits_one(self, tmp_path, capsys, raw, message, flag):
+        p = self.write(tmp_path, raw)
+        assert main(["knapsack", "--instance", str(p), flag]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestSweep:

@@ -2,23 +2,17 @@
 
 import math
 import tracemalloc
-from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_knapsack, unbounded_solve_approx
-from percept.errors import ExactSolverLimitError
+from helpers import BAD_KNAPSACK_INSTANCES, brute_force_knapsack, unbounded_solve_approx
 from percept.planner import (
     KnapsackInstance,
     KnapsackItem,
-    _cost_axis,
-    _dantzig_bound,
-    _scaled_items,
-    _table_walk,
-    _value_axis,
     plan_sweep,
     solve_approx,
     solve_exact,
@@ -35,13 +29,11 @@ STEP1_ITEMS = (
 )
 
 
-def random_instance(rng, max_n=12, max_cost=100, integral=True):
+def random_instance(rng, max_n=12, max_cost=100):
     n = int(rng.integers(1, max_n + 1))
     items = []
     for i in range(n):
         cost = int(rng.integers(1, max_cost + 1))
-        if not integral:
-            cost = float(cost) + float(rng.random())
         value = float(rng.integers(0, 500))
         items.append(KnapsackItem(f"i{i:02d}", value, cost))
     budget = float(rng.integers(0, int(sum(it.cost for it in items)) + 2))
@@ -83,20 +75,6 @@ class TestExact:
         assert plan.total_cost == pytest.approx(cost, abs=1e-9)
         assert plan.selected == ids
 
-    @pytest.mark.parametrize("case", range(40))
-    def test_fractional_costs_small_instances(self, case):
-        rng = np.random.default_rng(3000 + case)
-        inst = random_instance(rng, max_n=10, integral=False)
-        plan = solve_exact(inst)
-        value, cost, ids = brute_force_knapsack(inst.items, inst.budget)
-        assert plan.total_value == pytest.approx(value, abs=1e-9)
-        assert plan.selected == ids
-
-    def test_fractional_costs_above_limit_raise(self):
-        items = tuple(KnapsackItem(f"i{k}", 1.0, 0.5 + k) for k in range(30))
-        with pytest.raises(ExactSolverLimitError):
-            solve_exact(KnapsackInstance(items=items, budget=100.0))
-
     def test_determinism(self):
         rng = np.random.default_rng(11)
         inst = random_instance(rng, max_n=12)
@@ -114,14 +92,6 @@ class TestExact:
         inst = KnapsackInstance(items=items, budget=5720 - 1e-10)
         plan = solve_exact(inst)
         assert plan.selected == ("b",) and plan.total_cost <= inst.budget
-
-    def test_near_integral_costs_are_not_rounded(self):
-        # 1 + 1e-12 is a fractional cost: the pair costs more than the budget
-        items = (KnapsackItem("a", 1.0, 1 + 1e-12), KnapsackItem("b", 1.0, 1.0))
-        inst = KnapsackInstance(items=items, budget=2.0)
-        plan = solve_exact(inst)
-        assert plan.selected == ("b",) and plan.total_cost <= inst.budget
-        assert plan.selected == brute_force_knapsack(items, 2.0)[2]
 
     @pytest.mark.parametrize("budget", [math.nan, -1.0])
     def test_budget_must_be_a_number_at_least_zero(self, budget):
@@ -218,10 +188,11 @@ BRIGADE_COSTS = (210.0, 400.0, 820.0, 1320.0)
 
 
 def mixed_instance(rng, tiled):
-    """A random instance for the bounded table: at tiled scale, the shape of
-    a tiled brigade step (60-120 items, the brigade's costs, its 5720
-    budget, epsilon 0.02); otherwise a small one mixing zero, integral and
-    fractional costs, equal densities and budgets of 0, 5720 and inf."""
+    """A random instance for the cost table: at tiled scale, the shape of a
+    tiled brigade step (60-120 items, the brigade's costs, its 5720 budget,
+    epsilon 0.02); otherwise a small one mixing zero costs, whole costs of
+    1-200 and the brigade's costs, equal densities and budgets of 0, 5720
+    and inf."""
     if tiled:
         n = int(rng.integers(60, 121))
         costs = rng.choice(BRIGADE_COSTS, n)
@@ -242,7 +213,8 @@ def mixed_instance(rng, tiled):
         if kind == 0:
             cost = 0.0
         elif kind == 1:
-            cost = float(rng.integers(1, 200)) + float(rng.random())
+            # a whole cost from two draws, so the draws after it keep their place
+            cost = float(round(rng.integers(1, 200) + rng.random()))
         else:
             cost = float(rng.choice((5, 10, 20, 210, 400, 820, 1320)))
         if rng.random() < 0.3:
@@ -258,23 +230,6 @@ def mixed_instance(rng, tiled):
     return KnapsackInstance(items=tuple(items), budget=budget), eps
 
 
-def exact_dantzig_bound(scaled, costs, budget):
-    """The LP relaxation's optimum in exact rationals."""
-    if budget == math.inf:
-        return Fraction(sum(scaled))
-    room, fit = Fraction(budget), Fraction(0)
-    pairs = sorted(
-        zip(scaled, costs),
-        key=lambda sc: (sc[1] > 0, -Fraction(sc[0]) / Fraction(sc[1]) if sc[1] else 0),
-    )
-    for s, c in pairs:
-        if Fraction(c) > room:
-            return fit + room * s / Fraction(c)
-        fit += s
-        room -= Fraction(c)
-    return fit
-
-
 class TestBoundedTable:
     @pytest.mark.parametrize("block", range(20))
     def test_plans_match_the_unbounded_table(self, block):
@@ -282,23 +237,6 @@ class TestBoundedTable:
         for k in range(100):
             inst, eps = mixed_instance(rng, tiled=k % 10 == 0)
             assert solve_approx(inst, eps) == unbounded_solve_approx(inst, eps)
-
-    @pytest.mark.parametrize("block", range(5))
-    def test_bound_never_below_the_exact_bound(self, block):
-        rng = np.random.default_rng(6000 + block)
-        for k in range(100):
-            inst, eps = mixed_instance(rng, tiled=k % 10 == 0)
-            items = [
-                it for it in inst.items if it.cost <= inst.budget and it.value > 0
-            ]
-            if not items:
-                continue
-            scale = eps * max(it.value for it in items) / len(items)
-            scaled = [int(math.floor(it.value / scale)) for it in items]
-            costs = [it.cost for it in items]
-            exact = exact_dantzig_bound(scaled, costs, inst.budget)
-            bound = _dantzig_bound(scaled, costs, inst.budget)
-            assert exact <= bound < exact + 2
 
     def test_memory_at_tiled_scale(self):
         # one step of the 8-times tiled brigade: each of 32 units offers the
@@ -321,20 +259,6 @@ class TestBoundedTable:
         assert plan == unbounded_solve_approx(inst, 0.02)
 
 
-def axis_selections(inst, eps):
-    """The item indices each axis's table selects, the cost axis's None when
-    a cost is fractional, and whether ``solve_approx`` takes the cost axis."""
-    items, scaled = _scaled_items(inst, eps)
-    costs = [it.cost for it in items]
-    by_value = _value_axis(scaled, costs, inst.budget)
-    by_cost = _cost_axis(scaled, costs, inst.budget)
-    return (
-        _table_walk(*by_value),
-        None if by_cost is None else _table_walk(*by_cost),
-        by_cost is not None and by_cost[0] <= by_value[0],
-    )
-
-
 def nth_mixed_instance(seed, k):
     rng = np.random.default_rng(seed)
     for j in range(k + 1):
@@ -344,45 +268,33 @@ def nth_mixed_instance(seed, k):
 
 class TestCostAxis:
     @pytest.mark.parametrize("block", range(10))
-    def test_both_axes_select_the_same_items(self, block):
+    def test_cost_table_matches_the_unbounded_table(self, block):
         rng = np.random.default_rng(7000 + block)
-        on_cost = 0
         for k in range(100):
             inst, eps = mixed_instance(rng, tiled=k % 10 == 0)
-            by_value, by_cost, chosen = axis_selections(inst, eps)
-            if by_cost is not None:
-                assert by_cost == by_value
-            on_cost += chosen
             assert solve_approx(inst, eps) == unbounded_solve_approx(inst, eps)
-        assert on_cost >= 20  # every tiled draw, and many small integral ones
 
     # ties between equal (scaled value, cost) items at tiled scale: on these
     # draws, planning per (scaled value, cost) class over binary bundles and
     # taking each class's smallest ids gives another plan than the id-ordered
-    # table, which both axes reproduce
+    # table, which the cost table reproduces
     @pytest.mark.parametrize("seed, k", [(5035, 80), (5036, 20), (5039, 80)])
     def test_tie_heavy_draws_where_class_bundling_differs(self, seed, k):
         inst, eps = nth_mixed_instance(seed, k)
-        by_value, by_cost, chosen = axis_selections(inst, eps)
-        assert chosen and by_cost == by_value
         assert solve_approx(inst, eps) == unbounded_solve_approx(inst, eps)
 
-    # on_cost: solve_approx takes the cost axis for some values and epsilon
     @pytest.mark.parametrize(
-        "costs, budget, integral, on_cost",
+        "costs, budget",
         [
-            ((0, 0, 3, 5, 0), 6.0, True, True),  # zero-cost items, gcd 1
-            ((0, 0, 0), 0.0, True, True),  # zero costs only: a one-cell table
-            ((210, 400, 820, 1320, 210, 400), 5720.0, True, True),  # gcd 10
-            ((7, 11, 13, 7, 11), math.inf, True, True),  # width is the total cost
-            ((2860, 2860, 1320), 5720 - 1e-10, True, True),  # floored to 5719
-            ((1 + 1e-12, 1.0, 2.0), 3.0, False, False),  # fractional, however close
-            ((3 - 1e-12, 1.0, 2.0), 3.0, False, False),
-            ((10**6, 1, 999_999), 10.0**6, True, False),  # wider than the bound
+            ((0, 0, 3, 5, 0), 6.0),  # zero-cost items, gcd 1
+            ((0, 0, 0), 0.0),  # zero costs only: a one-cell table
+            ((210, 400, 820, 1320, 210, 400), 5720.0),  # gcd 10
+            ((7, 11, 13, 7, 11), math.inf),  # width is the total cost
+            ((2860, 2860, 1320), 5720 - 1e-10),  # floored to 5719
+            ((10**6, 1, 999_999), 10.0**6),  # 3 x 1,000,001 cells
         ],
     )
-    def test_edge_cases(self, costs, budget, integral, on_cost):
-        chosen = set()
+    def test_edge_cases(self, costs, budget):
         for values in ((4, 4, 8, 4, 2, 4), (1,) * 6, (5, 3, 5, 1, 3, 5)):
             items = tuple(
                 KnapsackItem(f"i{k}", float(v), c)
@@ -390,14 +302,9 @@ class TestCostAxis:
             )
             inst = KnapsackInstance(items=items, budget=budget)
             for eps in (0.5, 0.1, 0.02):
-                by_value, by_cost, on = axis_selections(inst, eps)
-                assert (by_cost is not None) == integral
-                assert by_cost is None or by_cost == by_value
-                chosen.add(on)
                 plan = solve_approx(inst, eps)
                 assert plan == unbounded_solve_approx(inst, eps)
                 assert plan.total_cost <= budget
-        assert (True in chosen) == on_cost
 
     def test_memory_at_sixteen_times_tiled_scale(self):
         # one step of the 16-times tiled brigade: 64 units, three actions
@@ -474,6 +381,16 @@ def test_property_exact_and_guarantee(pairs, budget, eps):
     assert approx.total_cost <= budget
     if value > 0:
         assert (value - approx.total_value) / value < eps
+
+
+@pytest.mark.parametrize(
+    "solve", [solve_exact, partial(solve_approx, epsilon=0.1)], ids=["exact", "approx"]
+)
+@pytest.mark.parametrize("raw, message", BAD_KNAPSACK_INSTANCES)
+def test_bad_instances_raise(raw, message, solve):
+    with pytest.raises(ValueError) as err:
+        solve(KnapsackInstance.from_dict(raw))
+    assert str(err.value).startswith(message)
 
 
 def test_tie_rules_differ_between_solvers():

@@ -13,7 +13,7 @@ from percept import World, cluster_detections, generate_detections, load_scenari
 
 scenario_path = resources.files("percept") / "scenarios" / "brigade.json"
 mb = load_scenario(str(scenario_path))
-world = World.from_dict(mb.world, known_types=set(mb.nodes))
+world = World.from_dict(mb)
 
 rng = np.random.default_rng(7)
 detections = generate_detections(world, rng=rng)

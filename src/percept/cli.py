@@ -150,7 +150,7 @@ def cmd_knapsack(args) -> int:
 def cmd_validate(args) -> int:
     mb = load_scenario(args.scenario)
     # what a run resolves before its first step
-    World.from_dict(mb.world, known_types=set(mb.nodes))
+    World.from_dict(mb)
     mb.leaf_group()
     print(
         f"OK: {len(mb.nodes)} models, {len(mb.groups)} groups, "

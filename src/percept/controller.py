@@ -157,9 +157,7 @@ class Controller:
         )
         self.mode = ValueMode(self.config.value_mode)
         self.net = BayesNet()
-        self.world = world_sim.World.from_dict(
-            model_base.world, known_types=set(model_base.nodes)
-        )
+        self.world = world_sim.World.from_dict(model_base)
         self.bindings: dict[str, world_sim.Binding] = {}
         self.fired: set[tuple[str, str]] = set()
         self._template_index = {t.id: i for i, t in enumerate(model_base.actions)}

@@ -2,14 +2,18 @@
 
 A scenario is a single JSON document with sections ``models``, ``cpts``,
 ``outcome_tables``, ``actions``, ``goal_values``, ``world`` and ``control``.
-Everything loaded here is immutable afterwards and safe to share between
-workers.
+Every field of it (and of a knapsack instance) is read through the readers
+below (``_read``, ``_field``, ``_each``, ``_labels``, ``_array``): a value
+of the wrong kind is ``<path>: expected <kind>, got <value>`` and an absent
+required key ``<path>: missing '<key>'``, with JSON paths from the document
+root such as ``cpts.cpt_force.rows`` or ``world.entities[3].x``.  Everything
+loaded here is immutable afterwards and safe to share between workers.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,32 +40,87 @@ NULL_LABEL = "other"
 NO_MATCH_OUTCOME = "no_match"
 
 
-def _number(value, what: str):
-    """``value`` itself if it is a number, else a ScenarioError naming ``what``."""
-    if not isinstance(value, numbers.Real):
-        raise ScenarioError(f"{what}: expected a number, got {value!r}")
-    return value
+_NUMBER = (int, float)
+#: each kind a reader checks for, by the name its errors give it
+_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean", _NUMBER: "a number"}
+_REQUIRED = object()  # the default of a field that must be present
 
 
-def _fields(rec, path: str, keys: tuple[str, ...]) -> list:
-    """The values at ``keys`` of the record at ``path``, all required; a
-    missing one, or a record that is no object, is a ScenarioError naming
-    ``path``."""
-    if not isinstance(rec, dict):
-        raise ScenarioError(f"{path}: expected an object, got {rec!r}")
-    for key in keys:
-        if key not in rec:
-            raise ScenarioError(f"{path}: missing {key!r}")
-    return [rec[key] for key in keys]
+def _name(path) -> str:
+    """The JSON path ``path`` stands for: a string, or a (parent path, key or
+    index) pair, which readers build for an item and format only to raise."""
+    if isinstance(path, str):
+        return path
+    parent, key = _name(path[0]), path[1]
+    if isinstance(key, int):
+        return f"{parent}[{key}]"
+    return f"{parent}.{key}" if parent else key
+
+
+def _read(value, kind, path):
+    """``value`` if it is of ``kind``, else ``<path>: expected <kind>, got <value>``."""
+    if isinstance(value, kind):
+        return value
+    raise ScenarioError(f"{_name(path)}: expected {_KINDS[kind]}, got {value!r}")
+
+
+def _field(rec: dict, key: str, kind, path, default=_REQUIRED):
+    """``rec[key]`` read as ``kind``, ``rec`` being the object at ``path``.  An absent key
+    (or a null one, where the default is None) gives ``default``, else ``missing '<key>'``."""
+    value = rec.get(key, default)
+    if isinstance(value, kind) or (value is default and value is not _REQUIRED):
+        return value
+    if value is _REQUIRED:
+        where = _name(path)
+        raise ScenarioError(f"{where}: missing {key!r}" if where else f"missing {key!r}")
+    return _read(value, kind, (path, key))
+
+
+def _each(rec: dict, key: str, kind, path, default=_REQUIRED):
+    """(item path, item) for each item of the list ``rec[key]``, read as ``kind``."""
+    for i, item in enumerate(_field(rec, key, list, path, default)):
+        yield ((path, key), i), _read(item, kind, ((path, key), i))
+
+
+def _labels(rec: dict, key: str, path) -> tuple[str, ...]:
+    """The list of strings ``rec[key]``, as a tuple."""
+    labels = _field(rec, key, list, path)
+    for i, label in enumerate(labels):
+        if not isinstance(label, str):
+            _read(label, str, ((path, key), i))
+    return tuple(labels)
+
+
+def _array(rec: dict, key: str, depth: int, path) -> np.ndarray:
+    """The ``depth``-deep nested list of numbers ``rec[key]``, as a float array."""
+    value = _field(rec, key, list, path)
+    try:
+        arr = np.array(value)
+    except ValueError:  # lists of unequal length
+        arr = None
+    if arr is None or arr.ndim != depth or arr.dtype.kind not in "biuf":
+        _walk(value, depth, (path, key))
+        raise ScenarioError(f"{_name((path, key))}: expected a {depth}-d array, got {value!r}")
+    return arr.astype(float, copy=False)
+
+
+def _walk(value, depth: int, path):
+    """Raise naming the first item ``depth`` levels down that is no number,
+    or above them that is no list."""
+    if depth == 0:
+        return _read(value, _NUMBER, path)
+    for i, item in enumerate(_read(value, list, path)):
+        _walk(item, depth - 1, (path, i))
 
 
 def _as_prob_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ScenarioError(f"{what}: empty probability array")
-    if not np.all(np.isfinite(arr)):
+    low, high = arr.min(), arr.max()  # either is nan if any entry is
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ScenarioError(f"{what}: non-finite probability")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if low < 0.0 or high > 1.0:
         raise ScenarioError(f"{what}: probability outside [0, 1]")
     arr.setflags(write=False)
     return arr
@@ -248,32 +307,26 @@ class ControlConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ControlConfig":
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"control: expected an object, got {raw!r}")
-        raw = dict(raw)
-
-        def num(key, default):
-            return _number(raw.get(key, default), f"control: {key}")
-
         if "termination_ratio" in raw and "termination_belief" not in raw:
             # odds ratio r maps to belief r / (1 + r)
-            ratio = float(num("termination_ratio", None))
+            ratio = float(_field(raw, "termination_ratio", _NUMBER, "control"))
             if ratio <= 1.0:
                 raise ScenarioError(f"control: termination_ratio {ratio} must be > 1")
-            raw["termination_belief"] = ratio / (1.0 + ratio)
-        raw.pop("termination_ratio", None)
-        budget = _number(raw.get("budget_T", raw.get("budget_t", 0)), "control: budget_T")
-        if abs(budget - round(budget)) > 1e-9:
+            belief = ratio / (1.0 + ratio)
+        else:
+            belief = float(_field(raw, "termination_belief", _NUMBER, "control", 0.99))
+        budget = _field(raw, "budget_T", _NUMBER, "control", 0)
+        if not math.isfinite(budget) or abs(budget - round(budget)) > 1e-9:
             raise ScenarioError(f"control: budget_T {budget} must be integral")
         return ControlConfig(
             budget_t=int(round(budget)),
-            epsilon=float(num("epsilon", 0.1)),
-            processors=int(num("processors", 1)),
-            termination_belief=float(num("termination_belief", 0.99)),
-            seed=int(num("seed", 0)),
-            max_wall=float(num("max_wall", float("inf"))),
-            value_mode=str(raw.get("value_mode", "OUTCOME_MARGINAL")),
-            duration_jitter=float(num("duration_jitter", 0.0)),
+            epsilon=float(_field(raw, "epsilon", _NUMBER, "control", 0.1)),
+            processors=int(_field(raw, "processors", _NUMBER, "control", 1)),
+            termination_belief=belief,
+            seed=int(_field(raw, "seed", _NUMBER, "control", 0)),
+            max_wall=float(_field(raw, "max_wall", _NUMBER, "control", float("inf"))),
+            value_mode=_field(raw, "value_mode", str, "control", "OUTCOME_MARGINAL"),
+            duration_jitter=float(_field(raw, "duration_jitter", _NUMBER, "control", 0.0)),
         )
 
 
@@ -405,13 +458,9 @@ class ModelBase:
         if any(v < 0 for v in self.goal_values.values()):
             raise ScenarioError("goal_values: negative value")
 
-        # part-of edges reference known nodes and dimensionally consistent cpts
+        # part-of edges (between known nodes) have dimensionally consistent cpts
         for m in self.nodes.values():
             for child_id, cpt_id in m.parts:
-                if child_id not in self.nodes:
-                    raise ScenarioError(
-                        f"model {m.id}: part {child_id!r} is not a model node"
-                    )
                 cpt = self.cpt(cpt_id)
                 parent_hs = self.hypothesis_set(m.isa_group)
                 child_hs = self.hypothesis_set(self.nodes[child_id].isa_group)
@@ -427,13 +476,12 @@ class ModelBase:
                     )
 
         self.topological_order()  # raises on a node-level cycle, naming nodes
-        _topological(
-            self.groups,
-            lambda g: [c for c, ps in self.group_parents.items() if g in dict(ps)],
-            "group-level",
-        )
+        children = {g: [c for c, ps in self.group_parents.items() if g in dict(ps)]
+                    for g in self.groups}
+        _topological(self.groups, children.__getitem__, "group-level")
 
-        # action templates reference known tables and nodes; table axes are groups
+        # action templates reference known tables and nodes, and a table's
+        # child labels are those of every group its template applies to
         for t in self.actions:
             table = self.outcome_table(t.outcome_table)
             if table.action_kind != t.kind:
@@ -441,9 +489,11 @@ class ModelBase:
                     f"action {t.id}: kind {t.kind} but table {table.id} is for "
                     f"{table.action_kind}"
                 )
-            if t.applicable_to != "*":
-                for mid in t.applicable_to:
-                    self.node(mid)
+            for mid in self.nodes if t.applicable_to == "*" else t.applicable_to:
+                group = self.node(mid).isa_group
+                if table.child_labels != self.groups[group].labels:
+                    raise ScenarioError(f"action {t.id}: table {table.id} child labels "
+                                        f"do not match group {group!r}")
         for table in self.outcome_tables.values():
             parent = self.group_for_labels(table.parent_labels)
             if parent is None:
@@ -486,45 +536,34 @@ def _topological(keys, children, what: str) -> tuple[str, ...]:
     return tuple(order)
 
 
-def _build_groups(models: list[dict]) -> tuple[dict[str, ModelNode], dict[str, HypothesisSet]]:
+def _build_groups(records) -> tuple[dict[str, ModelNode], dict[str, HypothesisSet]]:
+    """Model nodes and confusion groups from (path, model record) pairs."""
     nodes: dict[str, ModelNode] = {}
     members: dict[str, list[str]] = {}
-    unspecified: dict[str, list[str]] = {}
     raw_priors: dict[str, float | None] = {}
 
-    for rec in models:
-        try:
-            mid = rec["id"]
-        except KeyError:
-            raise ScenarioError(f"model record without id: {rec}") from None
+    for at, rec in records:
+        mid = _field(rec, "id", str, at)
         if mid in nodes:
             raise ScenarioError(f"duplicate model id {mid!r}")
         if mid == NULL_LABEL:
             raise ScenarioError(f"model id {NULL_LABEL!r} is reserved")
-        group = rec.get("isa_group", mid)
-        prior = rec.get("prior")
-        raw_priors[mid] = None if prior is None else _number(prior, f"model {mid}: prior")
+        group = _field(rec, "isa_group", str, at, mid)
+        raw_priors[mid] = _field(rec, "prior", _NUMBER, at, None)
         members.setdefault(group, []).append(mid)
-        if prior is None:
-            unspecified.setdefault(group, []).append(mid)
-        parts = rec.get("parts", [])
-        if not isinstance(parts, list) or not all(
-            isinstance(p, dict) and "child" in p and "cpt" in p for p in parts
-        ):
-            raise ScenarioError(
-                f"model {mid}: parts must be a list of {{child, cpt}} objects, "
-                f"got {parts!r}"
-            )
         nodes[mid] = ModelNode(
             id=mid,
             isa_group=group,
-            parts=tuple((p["child"], p["cpt"]) for p in parts),
-            min_parts=int(_number(rec.get("min_parts", 1), f"model {mid}: min_parts")),
+            parts=tuple(
+                (_field(p, "child", str, pat), _field(p, "cpt", str, pat))
+                for pat, p in _each(rec, "parts", dict, at, [])
+            ),
+            min_parts=int(_field(rec, "min_parts", _NUMBER, at, 1)),
         )
 
     groups: dict[str, HypothesisSet] = {}
     for group, ids in members.items():
-        missing = unspecified.get(group, [])
+        missing = [m for m in ids if raw_priors[m] is None]
         specified_sum = sum(raw_priors[m] for m in ids if raw_priors[m] is not None)
         # unspecified members split half the mass against the null label
         default_each = 0.5 / len(missing) if missing else 0.0
@@ -562,84 +601,71 @@ def load_scenario(path: str | Path) -> ModelBase:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"scenario {path} must be a JSON object")
-    for key in ("world", "control"):
-        if key not in raw:
-            raise ScenarioError(f"scenario missing required section {key!r}")
+    # a document needs both; build_model_base defaults them for tests
+    _field(_read(raw, dict, "scenario"), "world", dict, "")
+    _field(raw, "control", dict, "")
     return build_model_base(raw)
 
 
 def build_model_base(raw: dict) -> ModelBase:
     """Construct a ModelBase from an already-parsed scenario dict."""
-    for key in ("models", "cpts", "outcome_tables", "actions", "goal_values"):
-        if key not in raw:
-            raise ScenarioError(f"scenario missing required section {key!r}")
-
-    nodes, groups = _build_groups(raw["models"])
+    _read(raw, dict, "scenario")
+    nodes, groups = _build_groups(_each(raw, "models", dict, ""))
 
     cpts = {}
-    for cid, rec in raw["cpts"].items():
-        parents, children, rows = _fields(
-            rec, f"cpts.{cid}", ("parent_labels", "child_labels", "rows")
-        )
+    for cid, rec in _field(raw, "cpts", dict, "").items():
+        at = ("cpts", cid)
+        rec = _read(rec, dict, at)
         cpts[cid] = ConditionalTable(
             id=cid,
-            parent_labels=tuple(parents),
-            child_labels=tuple(children),
-            rows=np.array(rows, dtype=float),
+            parent_labels=_labels(rec, "parent_labels", at),
+            child_labels=_labels(rec, "child_labels", at),
+            rows=_array(rec, "rows", 2, at),
         )
 
     tables = {}
-    for tid, rec in raw["outcome_tables"].items():
-        kind, children, outcomes, parents, entries = _fields(
-            rec,
-            f"outcome_tables.{tid}",
-            ("action_kind", "child_labels", "outcomes", "parent_labels", "entries"),
-        )
+    for tid, rec in _field(raw, "outcome_tables", dict, "").items():
+        at = ("outcome_tables", tid)
+        rec = _read(rec, dict, at)
         tables[tid] = OutcomeTable(
             id=tid,
-            action_kind=kind,
-            child_labels=tuple(children),
-            outcomes=tuple(outcomes),
-            parent_labels=tuple(parents),
-            entries=np.array(entries, dtype=float),
+            action_kind=_field(rec, "action_kind", str, at),
+            child_labels=_labels(rec, "child_labels", at),
+            outcomes=_labels(rec, "outcomes", at),
+            parent_labels=_labels(rec, "parent_labels", at),
+            entries=_array(rec, "entries", 3, at),
         )
 
     actions = []
-    for rec in raw["actions"]:
-        aid = rec.get("id", "?")
-        cost = _number(rec.get("cost", 0), f"action {aid}: cost")
-        if abs(cost - round(cost)) > 1e-9:
+    for at, rec in _each(raw, "actions", dict, ""):
+        aid = _field(rec, "id", str, at)
+        cost = _field(rec, "cost", _NUMBER, at, 0)
+        if not math.isfinite(cost) or abs(cost - round(cost)) > 1e-9:
             raise ScenarioError(
                 f"action {aid}: fractional cost {cost} "
                 "(costs are integral simulated milliseconds)"
             )
         applicable = rec.get("applicable_to", "*")
-        if applicable != "*":
-            if not isinstance(applicable, (list, tuple)):
-                raise ScenarioError(
-                    f"action {aid}: applicable_to must be \"*\" or a list of "
-                    f"model ids, got {applicable!r}"
-                )
-            applicable = tuple(applicable)
         actions.append(
             ActionTemplate(
-                id=rec["id"],
-                kind=rec["kind"],
-                applicable_to=applicable,
+                id=aid,
+                kind=_field(rec, "kind", str, at),
+                applicable_to=(
+                    "*" if applicable == "*" else _labels(rec, "applicable_to", at)
+                ),
                 cost=int(round(cost)),
-                outcome_table=rec["outcome_table"],
-                repeatable=bool(rec.get("repeatable", False)),
+                outcome_table=_field(rec, "outcome_table", str, at),
+                repeatable=_field(rec, "repeatable", bool, at, False),
             )
         )
     ids = [a.id for a in actions]
     if len(set(ids)) != len(ids):
         raise ScenarioError("duplicate action template ids")
 
-    goal_values = {str(k): float(v) for k, v in raw["goal_values"].items()}
-    control = ControlConfig.from_dict(raw.get("control", {}))
-
+    goal_values = {
+        label: float(_read(value, _NUMBER, ("goal_values", label)))
+        for label, value in _field(raw, "goal_values", dict, "").items()
+    }
     return ModelBase(
         nodes=nodes,
         groups=groups,
@@ -647,6 +673,6 @@ def build_model_base(raw: dict) -> ModelBase:
         outcome_tables=tables,
         actions=tuple(actions),
         goal_values=goal_values,
-        world=raw.get("world", {}),
-        control=control,
+        world=_field(raw, "world", dict, "", {}),
+        control=ControlConfig.from_dict(_field(raw, "control", dict, "", {})),
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_base import _fields, _number
+from .model_base import _NUMBER, _each, _field, _read
 
 VALUE_TOL = 1e-9  # relative slack when matching float value sums
 
@@ -68,25 +68,18 @@ class KnapsackInstance:
 
     @staticmethod
     def from_dict(raw: dict) -> "KnapsackInstance":
-        _fields(raw, "instance", ())
-        budget = raw.get("budget_T", raw.get("budget"))
-        if budget is None:
-            raise ValueError("instance needs a budget_T field")
-        try:
-            budget = float(budget)
-        except (TypeError, ValueError):
-            raise ValueError(f"budget_T: expected a number, got {budget!r}") from None
-        records = raw.get("items", [])
-        if not isinstance(records, list):
-            raise ValueError(f"items: expected a list, got {records!r}")
-        items = []
-        for k, rec in enumerate(records):
-            path = f"items[{k}]"
-            id_, value, cost = _fields(rec, path, ("id", "value", "cost"))
-            value = float(_number(value, f"{path}: value"))
-            cost = float(_number(cost, f"{path}: cost"))
-            items.append(KnapsackItem(id=str(id_), value=value, cost=cost))
-        return KnapsackInstance(items=tuple(items), budget=budget)
+        """``{budget_T, items: [{id, value, cost}]}``, as ``percept knapsack``
+        reads it; a malformed field is a ScenarioError naming its path."""
+        budget = _field(_read(raw, dict, "instance"), "budget_T", _NUMBER, "")
+        items = tuple(
+            KnapsackItem(
+                id=_field(rec, "id", str, at),
+                value=float(_field(rec, "value", _NUMBER, at)),
+                cost=float(_field(rec, "cost", _NUMBER, at)),
+            )
+            for at, rec in _each(raw, "items", dict, "", [])
+        )
+        return KnapsackInstance(items=items, budget=float(budget))
 
 
 @dataclass(frozen=True)

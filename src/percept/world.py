@@ -15,7 +15,7 @@ import numpy as np
 
 from .bayes_net import BayesNet
 from .errors import ScenarioError, UnknownIdError
-from .model_base import NO_MATCH_OUTCOME, HypothesisSet, ModelBase, _number
+from .model_base import _NUMBER, NO_MATCH_OUTCOME, HypothesisSet, ModelBase, _each, _field, _read
 
 VEHICLE_TYPE = "vehicle"
 
@@ -94,19 +94,31 @@ class ActionResult:
 class TerrainGrid:
     """Rectangular grid of terrain classes over [0, width) x [0, height).
 
-    Positions outside the rectangle clamp to the nearest cell.
+    Positions outside the rectangle clamp to the nearest cell.  ``cells``
+    (rows of class names) and ``support`` (class -> {force type or
+    "default": outcome}) are read as a scenario's ``world.terrain`` has them.
     """
 
     def __init__(self, width: float, height: float, cells: list[list[str]], support: dict):
+        at = "world.terrain.support"
+        for terrain_class, outcomes in _read(support, dict, at).items():
+            path = (at, terrain_class)
+            _field(_read(outcomes, dict, path), "default", str, path)
+            for force_type, outcome in outcomes.items():
+                _read(outcome, str, (path, force_type))
+        rows = "world.terrain.cells"
+        for i, row in enumerate(_read(cells, list, rows)):
+            for j, terrain_class in enumerate(_read(row, list, (rows, i))):
+                if _read(terrain_class, str, ((rows, i), j)) not in support:
+                    raise ScenarioError(f"{rows}[{i}][{j}]: {terrain_class!r} is not in {at}")
         if width <= 0 or height <= 0 or not cells or not cells[0]:
             raise ScenarioError("terrain grid needs positive size and cells")
-        widths = {len(row) for row in cells}
-        if len(widths) != 1:
+        if len({len(row) for row in cells}) != 1:
             raise ScenarioError("terrain rows have inconsistent lengths")
         self.width = float(width)
         self.height = float(height)
         self.cells = [list(row) for row in cells]
-        self.support = support  # terrain class -> {force type or "default": outcome}
+        self.support = support
 
     def class_at(self, x: float, y: float) -> str:
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -119,18 +131,8 @@ class TerrainGrid:
 
 def terrain_support(position: tuple[float, float], grid: TerrainGrid, force_type: str | None) -> str:
     """Deterministic (terrain class, force type) -> support outcome lookup."""
-    terrain_class = grid.class_at(*position)
-    try:
-        table = grid.support[terrain_class]
-    except KeyError:
-        raise ScenarioError(f"no support mapping for terrain class {terrain_class!r}") from None
-    key = force_type if force_type in table else "default"
-    try:
-        return table[key]
-    except KeyError:
-        raise ScenarioError(
-            f"no support outcome for ({terrain_class!r}, {force_type!r})"
-        ) from None
+    outcomes = grid.support[grid.class_at(*position)]
+    return outcomes.get(force_type, outcomes["default"])
 
 
 class World:
@@ -160,6 +162,10 @@ class World:
             raise ScenarioError(f"detect_prob {self.detect_prob} outside [0, 1]")
         if self.false_alarm_rate < 0:
             raise ScenarioError("false_alarm_rate must be >= 0")
+        for key, pair in (("true", self.strength_true), ("false", self.strength_false)):
+            if len(pair) != 2 or not (0.0 <= pair[0] <= pair[1] <= 1.0):
+                raise ScenarioError(f"world.detection_strength.{key}: expected [low, high] "
+                                    f"with 0 <= low <= high <= 1, got {list(pair)}")
         for e in self.entities.values():
             if not (math.isfinite(e.x) and math.isfinite(e.y)):
                 raise ScenarioError(f"entity {e.id}: non-finite position")
@@ -175,86 +181,65 @@ class World:
                 cur = self.entities[cur].member_of
 
     @staticmethod
-    def from_dict(raw: dict, known_types: set[str]) -> "World":
-        """The world of a scenario's ``world`` section.
-
-        An absent key takes its default; a malformed value is a
-        ScenarioError naming its field.
-        """
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"world: expected an object, got {raw!r}")
-
-        sections = {"": raw}
-        for key in ("terrain", "cluster_params", "search", "detection_strength"):
-            value = raw.get(key, _DEFAULT_TERRAIN if key == "terrain" else {})
-            if not isinstance(value, dict):
-                raise ScenarioError(f"world: {key}: expected an object, got {value!r}")
-            sections[key] = value
-
-        def num(path: str, default=None):
-            """The number at ``[section.]key``, or ``default`` if it is absent."""
-            name, _, key = path.rpartition(".")
-            return _number(sections[name].get(key, default), f"world: {path}")
-
+    def from_dict(model_base: ModelBase) -> "World":
+        """The world of a model base's ``world`` section.  An absent key
+        takes its default, and every terrain support outcome must be an
+        outcome of each TERRAIN-SUPPORT table."""
+        raw = model_base.world
         entities = {}
-        records = raw.get("entities", [])
-        if not isinstance(records, list):
-            raise ScenarioError(f"world: entities: expected a list, got {records!r}")
-        for i, rec in enumerate(records):
-            if not isinstance(rec, dict):
-                raise ScenarioError(f"world: entities[{i}]: expected an object, got {rec!r}")
-            eid = rec.get("id", "?")
-            try:
-                ent = WorldEntity(
-                    id=rec["id"],
-                    type=rec["type"],
-                    x=float(_number(rec["x"], f"entity {eid}: x")),
-                    y=float(_number(rec["y"], f"entity {eid}: y")),
-                    member_of=rec.get("member_of"),
-                )
-            except KeyError as exc:
-                raise ScenarioError(f"entity {eid}: missing field {exc}") from None
+        for at, rec in _each(raw, "entities", dict, "world", []):
+            ent = WorldEntity(
+                id=_field(rec, "id", str, at),
+                type=_field(rec, "type", str, at),
+                x=float(_field(rec, "x", _NUMBER, at)),
+                y=float(_field(rec, "y", _NUMBER, at)),
+                member_of=_field(rec, "member_of", str, at, None),
+            )
             if ent.id in entities:
                 raise ScenarioError(f"duplicate entity id {ent.id!r}")
-            if ent.type != VEHICLE_TYPE and ent.type not in known_types:
+            if ent.type != VEHICLE_TYPE and ent.type not in model_base.nodes:
                 raise ScenarioError(f"entity {ent.id}: unknown type {ent.type!r}")
             entities[ent.id] = ent
-        t = sections["terrain"]
-        for key in ("width", "height", "cells"):
-            if key not in t:
-                raise ScenarioError(f"world: terrain: missing field {key!r}")
-        cells = t["cells"]
-        if not isinstance(cells, list):
-            raise ScenarioError(f"world: terrain.cells: expected a list of rows, got {cells!r}")
-        for i, row in enumerate(cells):
-            if not isinstance(row, list):
-                raise ScenarioError(f"world: terrain.cells[{i}]: expected a list, got {row!r}")
+
+        t = _field(raw, "terrain", dict, "world", _DEFAULT_TERRAIN)
         grid = TerrainGrid(
-            num("terrain.width"), num("terrain.height"), cells, t.get("support", {})
+            _field(t, "width", _NUMBER, "world.terrain"),
+            _field(t, "height", _NUMBER, "world.terrain"),
+            _field(t, "cells", list, "world.terrain"),
+            _field(t, "support", dict, "world.terrain"),
         )
+        outcomes = {o for by_type in grid.support.values() for o in by_type.values()}
+        for table in model_base.outcome_tables.values():
+            missing = outcomes.difference(table.outcomes)
+            if table.action_kind == "TERRAIN-SUPPORT" and missing:
+                raise ScenarioError(
+                    f"terrain outcome {min(missing)!r} missing from table {table.id}"
+                )
+
+        c = _field(raw, "cluster_params", dict, "world", {})
+        at = "world.cluster_params"
         params = ClusterParams(
-            max_intervehicle_distance=float(
-                num("cluster_params.max_intervehicle_distance", 1.0)
-            ),
-            min_count=int(num("cluster_params.min_count", 1)),
-            max_count=int(num("cluster_params.max_count", 10**6)),
-            max_extent=float(num("cluster_params.max_extent", 1e9)),
+            max_intervehicle_distance=float(_field(c, "max_intervehicle_distance", _NUMBER, at, 1.0)),
+            min_count=int(_field(c, "min_count", _NUMBER, at, 1)),
+            max_count=int(_field(c, "max_count", _NUMBER, at, 10**6)),
+            max_extent=float(_field(c, "max_extent", _NUMBER, at, 1e9)),
         )
         optional = {}  # only the keys present: World's own defaults cover the rest
-        if "confirm_belief" in sections["search"]:
-            optional["confirm_belief"] = float(num("search.confirm_belief"))
-        strength = sections["detection_strength"]
+        search = _field(raw, "search", dict, "world", {})
+        confirm = _field(search, "confirm_belief", _NUMBER, "world.search", None)
+        if confirm is not None:
+            optional["confirm_belief"] = float(confirm)
+        strength = _field(raw, "detection_strength", dict, "world", {})
         for key in ("true", "false"):
-            if key in strength:
-                pair, what = strength[key], f"world: detection_strength.{key}"
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ScenarioError(f"{what}: expected [low, high], got {pair!r}")
-                optional[f"strength_{key}"] = tuple(_number(v, what) for v in pair)
+            pair = _field(strength, key, list, "world.detection_strength", None)
+            if pair is not None:
+                at = ("world.detection_strength", key)
+                optional[f"strength_{key}"] = tuple(_read(v, _NUMBER, (at, i)) for i, v in enumerate(pair))
         return World(
             entities=entities,
             terrain=grid,
-            detect_prob=float(num("detect_prob", 1.0)),
-            false_alarm_rate=float(num("false_alarm_rate", 0.0)),
+            detect_prob=float(_field(raw, "detect_prob", _NUMBER, "world", 1.0)),
+            false_alarm_rate=float(_field(raw, "false_alarm_rate", _NUMBER, "world", 0.0)),
             cluster_params=params,
             **optional,
         )
@@ -474,10 +459,6 @@ def execute_action(
         outcome = terrain_support(
             (binding.x, binding.y), world.terrain, entity.type if entity else None
         )
-        if outcome not in table.outcomes:
-            raise ScenarioError(
-                f"terrain outcome {outcome!r} missing from table {table.id}"
-            )
         return ActionResult(outcome=outcome)
 
     if action.kind == "SEARCH":

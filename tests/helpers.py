@@ -321,7 +321,7 @@ BAD_KNAPSACK_INSTANCES = [
     _bad_instance(
         "value-x",
         [{"id": "a", "value": "x", "cost": 1}],
-        "items[0]: value: expected a number, got 'x'",
+        "items[0].value: expected a number, got 'x'",
     ),
     _bad_instance("items-5", 5, "items: expected a list, got 5"),
     _bad_instance("budget-list", [], "budget_T: expected a number, got []", budget=[]),

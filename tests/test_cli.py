@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -119,11 +120,17 @@ class TestKnapsack:
         assert main(["knapsack", "--instance", "/no/such.json", "--exact"]) == 1
 
     @pytest.mark.parametrize("flag", ["--exact", "--epsilon=0.1"])
-    @pytest.mark.parametrize("budget", [float("nan"), "nan"])
-    def test_nan_budget_exits_one(self, tmp_path, capsys, flag, budget):
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            pytest.param(float("nan"), "budget must be >= 0, got nan", id="nan0"),
+            pytest.param("nan", "budget_T: expected a number, got 'nan'", id="nan1"),
+        ],
+    )
+    def test_nan_budget_exits_one(self, tmp_path, capsys, flag, budget, message):
         p = self.write(tmp_path, dict(STEP1_INSTANCE, budget_T=budget))
         assert main(["knapsack", "--instance", str(p), flag]) == 1
-        assert "error: budget must be >= 0, got nan" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_epsilon_zero_exits_one(self, tmp_path, capsys):
         p = self.write(tmp_path, STEP1_INSTANCE)
@@ -205,17 +212,17 @@ class TestValidate:
             (lambda r: _w_brigade(r).update(type="hovercraft"),
              "entity w-brigade: unknown type 'hovercraft'"),
             (lambda r: _w_brigade(r).pop("x"),
-             "entity w-brigade: missing field 'x'"),
+             "world.entities[0]: missing 'x'"),
             (lambda r: r["models"].append(
                 {"id": "decoy", "isa_group": "decoys", "prior": 0.3}),
              "expected exactly one leaf group for clustering, "
              "found ['company', 'decoys']"),
             (lambda r: r["world"]["entities"].append(5),
-             "world: entities[36]: expected an object, got 5"),
+             "world.entities[36]: expected an object, got 5"),
             (lambda r: r["world"]["terrain"].update(cells=5),
-             "world: terrain.cells: expected a list of rows, got 5"),
+             "world.terrain.cells: expected a list, got 5"),
             (lambda r: r["world"]["terrain"]["cells"].append(5),
-             "world: terrain.cells[8]: expected a list, got 5"),
+             "world.terrain.cells[8]: expected a list, got 5"),
         ],
         ids=["unknown-type", "missing-x", "second-leaf-group", "entity-number",
              "cells-number", "cells-row-number"],
@@ -250,20 +257,20 @@ class TestValidate:
     @pytest.mark.parametrize(
         "change, field",
         [
-            (lambda r: r["control"].update(budget_T="5720"), "control: budget_T"),
+            (lambda r: r["control"].update(budget_T="5720"), "control.budget_T"),
             (lambda r: r["actions"][0].update(cost="400"), "cost"),
             (lambda r: r["models"][0].update(prior="x"), "prior"),
             (lambda r: r.update(control=None), "control"),
             (lambda r: r["actions"][0].update(applicable_to=5), "applicable_to"),
-            (lambda r: r["world"].update(detect_prob=None), "world: detect_prob"),
+            (lambda r: r["world"].update(detect_prob=None), "world.detect_prob"),
             (lambda r: r["models"][0].update(parts=5), "parts"),
             (lambda r: r["world"]["cluster_params"].update(min_count="2"),
-             "world: cluster_params.min_count"),
+             "world.cluster_params.min_count"),
             (lambda r: r["world"]["terrain"].pop("width"),
-             "world: terrain: missing field 'width'"),
-            (lambda r: r["world"].update(cluster_params=None), "world: cluster_params"),
+             "world.terrain: missing 'width'"),
+            (lambda r: r["world"].update(cluster_params=None), "world.cluster_params"),
             (lambda r: r["world"]["detection_strength"].update(true=[0.6]),
-             "world: detection_strength.true"),
+             "world.detection_strength.true"),
         ],
         ids=["budget-string", "cost-string", "prior-string", "control-null",
              "applicable-to-number", "detect-prob-null", "parts-number",
@@ -278,3 +285,101 @@ class TestValidate:
         assert main(["validate", "--scenario", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+
+# -- the mutation family: every field of the bundled scenario, corrupted -------
+
+_DELETE = object()
+_MUTATIONS = {"delete": _DELETE, "null": None, "5": 5, "x": "x", "[]": [], "{}": {}}
+
+
+def _field_paths(node, path=()):
+    """The path of every field of a JSON document, through the first item
+    of each list only."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node[:1])
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+def _json_path(path) -> str:
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}" if out else key
+    return out
+
+
+def _mutated(text, path, value):
+    """The JSON document ``text`` with the field at ``path`` deleted or set
+    to ``value``."""
+    raw = json.loads(text)
+    *parents, last = path
+    holder = raw
+    for key in parents:
+        holder = holder[key]
+    if value is _DELETE:
+        del holder[last]
+    else:
+        holder[last] = value
+    return raw
+
+
+# a reader's message: "<path>: expected <kind>, got <value>" or
+# "<path>: missing '<key>'"; and what numpy says of a value it cannot convert
+_READER_MESSAGE = re.compile(r"(?:(\S+): )?(?:expected .*|missing '[^']*')")
+_NUMPY_MESSAGE = re.compile(r"could not convert|inhomogeneous|setting an array element")
+
+
+@pytest.mark.parametrize(
+    "section",
+    ["models", "cpts", "outcome_tables", "actions", "goal_values", "world", "control"],
+)
+def test_every_field_mutation_is_named_or_runs(tmp_path, capsys, section):
+    """Each field of the brigade, deleted or set to null, 5, "x", [] or {},
+    either fails ``validate`` with one named error line that ``run`` prints
+    too, or passes ``validate`` and runs to exit 0 or 2."""
+    text = BRIGADE.read_text()
+    paths = [p for p in _field_paths(json.loads(text)) if p[0] == section]
+    assert paths
+    bad = tmp_path / "bad.json"
+    out = str(tmp_path / "out")
+    failures = []
+    for path in paths:
+        where = _json_path(path)
+        for name, value in _MUTATIONS.items():
+            case = f"{where} = {name}"
+            bad.write_text(json.dumps(_mutated(text, path, value)))
+            try:
+                code = main(["validate", "--scenario", str(bad)])
+                err = capsys.readouterr().err
+                if code == 0:
+                    ran = main(["run", "--scenario", str(bad), "--out", out])
+                    capsys.readouterr()
+                    if ran not in (0, 2):
+                        failures.append(f"{case}: validate passes, run exits {ran}")
+                    continue
+                ran = main(["run", "--scenario", str(bad), "--out", out])
+                run_err = capsys.readouterr().err
+            except Exception as exc:  # an escaped exception is a failure
+                failures.append(f"{case}: {type(exc).__name__}: {exc}")
+                continue
+            lines = err.splitlines()
+            if code != 1 or len(lines) != 1 or not lines[0].startswith("error: "):
+                failures.append(f"{case}: exit {code}, stderr {err!r}")
+                continue
+            message = lines[0][len("error: "):]
+            reader = _READER_MESSAGE.fullmatch(message)
+            if re.fullmatch(r"'[^']*'", message) or _NUMPY_MESSAGE.search(message):
+                failures.append(f"{case}: unnamed error {message!r}")
+            elif reader and reader[1] and not (
+                where == reader[1] or where.startswith((reader[1] + ".", reader[1] + "["))
+            ):
+                failures.append(f"{case}: {message!r} names no prefix of the path")
+            if (ran, run_err) != (1, err):
+                failures.append(f"{case}: run exits {ran} with {run_err!r}, not {err!r}")
+    assert not failures, "\n".join(failures)

@@ -199,6 +199,8 @@ class TestCandidates:
             "probe": dict(seen, action_kind="CLASSIFICATION"),
             "terrain": dict(seen, action_kind="TERRAIN-SUPPORT"),
         }
+        # every support outcome must be an outcome of each terrain table
+        raw["world"]["terrain"]["support"] = {"open": {"default": "seen"}}
         raw["actions"] = [
             {"id": tid, "kind": kind, "applicable_to": to, "cost": 10,
              "outcome_table": table}

@@ -240,8 +240,9 @@ class TestBoundedTable:
 
     def test_memory_at_tiled_scale(self):
         # one step of the 8-times tiled brigade: each of 32 units offers the
-        # same three actions; the full table over every scaled sum (314,848)
-        # peaks at 36 MB, the one cut at the bound (49,002) at 5.6 MB
+        # same three actions; the table over cost holds 96 x 573 cells (costs
+        # in units of their gcd, 10, up to the 5720 budget) and peaks near
+        # 0.1 MB, where a table over every scaled sum (314,848) would take 36 MB
         actions = ((1.0, 1320.0), (0.675, 820.0), (0.375, 210.0))
         items = tuple(
             KnapsackItem(f"u{u:02d}-{a}", value, cost)
@@ -308,8 +309,8 @@ class TestCostAxis:
 
     def test_memory_at_sixteen_times_tiled_scale(self):
         # one step of the 16-times tiled brigade: 64 units, three actions
-        # each; the cost axis holds 192 x 573 cells where the value axis cut
-        # at the Dantzig bound would hold 192 x ~98,000
+        # each; the table over cost holds 192 x 573 cells: twice the rows
+        # of the 8-times tiled step, the same columns
         actions = ((1.0, 1320.0), (0.675, 820.0), (0.375, 210.0))
         items = tuple(
             KnapsackItem(f"u{u:02d}-{a}", value, cost)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
 import sys
 from pathlib import Path
@@ -61,9 +62,139 @@ def write_trace(path: Path, report: dict, level: int = 1) -> None:
 
 
 def write_report(path: Path, report: dict) -> None:
-    path.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Write ``json.dumps(report, indent=2, sort_keys=True)`` and a newline,
+    byte for byte, as a stream (see ``_IndentedJson``)."""
+    with open(path, "w", encoding="utf-8") as f:
+        _IndentedJson(f.write).emit(report, 0)
+        f.write("\n")
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+_encode_scalar = json.JSONEncoder().encode
+
+
+class _IndentedJson:
+    """Writes the text of ``json.dumps(value, indent=2, sort_keys=True)``
+    piece by piece, never holding the whole document.
+
+    ``json`` escapes every control character in a string, so every newline
+    of that text is structural. That makes two shortcuts exact:
+
+    - A flat container (a dict with ``str`` keys or a list or tuple, holding
+      only scalars) is one call of the stdlib's C encoder with
+      ``"," + newline + indent`` as its item separator; only its brackets
+      then need their newline and indent.
+    - A container of scalars and flat containers is encoded once per
+      distinct value and depth and then reused. It is keyed by its
+      ``marshal`` bytes, which, unlike ``==``, keep ``1``, ``1.0`` and
+      ``True`` and ``0.0`` and ``-0.0`` apart.
+
+    A larger container is written item by item. A value of any other type,
+    or a dict with a key that is not a ``str``, is encoded by ``json.dumps``
+    itself and its newlines are indented to its depth.
+    """
+
+    def __init__(self, write):
+        self.write = write
+        self.memo: dict[tuple[int, bytes], str] = {}
+        self.flat_encoders: list = []  # by depth
+
+    def emit(self, value, depth: int) -> None:
+        text = self.text(value, depth)
+        if text is not None:
+            self.write(text)
+            return
+        t = type(value)
+        if t is dict and _STR.issuperset(map(type, value)):
+            items = [(_encode_key(k), value[k]) for k in sorted(value)]
+            brackets = "{}"
+        elif t is list or t is tuple:
+            items = [("", item) for item in value]
+            brackets = "[]"
+        else:
+            self.write(
+                json.dumps(value, indent=2, sort_keys=True).replace("\n", _newline(depth))
+            )
+            return
+        inner = _newline(depth + 1)
+        sep = brackets[0] + inner
+        for head, item in items:
+            self.write(sep + head)
+            self.emit(item, depth + 1)
+            sep = "," + inner
+        self.write(_newline(depth) + brackets[1])
+
+    def text(self, value, depth: int) -> str | None:
+        """The text of a scalar, a flat container or a container of scalars
+        and flat containers; None for anything else."""
+        t = type(value)
+        if t in _SCALARS:
+            return _encode_scalar(value)
+        if t is dict:
+            if not _STR.issuperset(map(type, value)):
+                return None
+            items = value.values()
+        elif t is list or t is tuple:
+            items = value
+        else:
+            return None
+        if _SCALARS.issuperset(map(type, items)):
+            return self.flat(value, depth)
+        for item in items:
+            t = type(item)
+            if t is dict:
+                if not (
+                    _STR.issuperset(map(type, item))
+                    and _SCALARS.issuperset(map(type, item.values()))
+                ):
+                    return None
+            elif t is list or t is tuple:
+                if not _SCALARS.issuperset(map(type, item)):
+                    return None
+            elif t not in _SCALARS:
+                return None
+        key = (depth, marshal.dumps(value, 2))
+        text = self.memo.get(key)
+        if text is None:
+            if type(value) is dict:
+                parts = [_encode_key(k) + self.part(value[k], depth + 1) for k in sorted(value)]
+                brackets = "{}"
+            else:
+                parts = [self.part(item, depth + 1) for item in value]
+                brackets = "[]"
+            inner = _newline(depth + 1)
+            text = self.memo[key] = (
+                brackets[0] + inner + ("," + inner).join(parts) + _newline(depth) + brackets[1]
+            )
+        return text
+
+    def part(self, value, depth: int) -> str:
+        return _encode_scalar(value) if type(value) in _SCALARS else self.flat(value, depth)
+
+    def flat(self, value, depth: int) -> str:
+        if not value:
+            return "{}" if type(value) is dict else "[]"
+        key = (depth, marshal.dumps(value, 2))
+        text = self.memo.get(key)
+        if text is None:
+            while len(self.flat_encoders) <= depth:
+                sep = "," + _newline(len(self.flat_encoders) + 1)
+                encoder = json.JSONEncoder(sort_keys=True, separators=(sep, ": "))
+                self.flat_encoders.append(encoder.encode)
+            body = self.flat_encoders[depth](value)
+            text = self.memo[key] = (
+                body[0] + _newline(depth + 1) + body[1:-1] + _newline(depth) + body[-1]
+            )
+        return text
+
+
+def _encode_key(key: str) -> str:
+    return _encode_scalar(key) + ": "
+
+
+def _newline(depth: int) -> str:
+    return "\n" + "  " * depth
 
 
 def _seed_from(args) -> int | None:

@@ -165,6 +165,8 @@ class Controller:
         self.steps: list[StepRecord] = []
         self.detections: tuple = ()
         self.clusters: list = []
+        #: the net's nodes of the goal group, in instantiation order
+        self.goal_nodes: list[str] = []
 
     # -- setup -------------------------------------------------------------
 
@@ -183,12 +185,10 @@ class Controller:
         for k, cluster in enumerate(self.clusters):
             node_id = f"u{k + 1}"
             self.net.instantiate_node(cluster.seed, leaf, node_id=node_id)
+            if leaf == self.mb.goal_group:
+                self.goal_nodes.append(node_id)
             self.bindings[node_id] = world_sim.bind_cluster(units, cluster, max_extent)
         self.net.propagate()
-
-    def goal_nodes(self) -> list[str]:
-        goal = self.mb.goal_group
-        return [nid for nid, node in self.net.nodes.items() if node.group == goal]
 
     # -- candidate enumeration ----------------------------------------------
 
@@ -269,6 +269,8 @@ class Controller:
             parent_id = f"{parent_group}{len(members) + 1}"
             hs = self.mb.hypothesis_set(parent_group)
             self.net.instantiate_node(hs, parent_group, node_id=parent_id)
+            if parent_group == self.mb.goal_group:
+                self.goal_nodes.append(parent_id)
             xs = [self.bindings[s].x for s in result.siblings]
             ys = [self.bindings[s].y for s in result.siblings]
             self.bindings[parent_id] = world_sim.Binding(
@@ -377,7 +379,7 @@ class Controller:
             )
             self.apply_completion(action, result)
             completions.append((action.id, result.outcome, finish))
-            if check_termination(self.net, self.config, self.goal_nodes()) == TERMINATED:
+            if check_termination(self.net, self.config, self.goal_nodes) == TERMINATED:
                 cancelled = [a.id for a in pool.cancel_all()]
                 break
         self.clock = pool.clock
@@ -397,7 +399,7 @@ class Controller:
         initial = self.net.snapshot()
         reason = None
         while True:
-            if check_termination(self.net, self.config, self.goal_nodes()) == TERMINATED:
+            if check_termination(self.net, self.config, self.goal_nodes) == TERMINATED:
                 reason = "terminated"
                 break
             if self.clock >= self.config.max_wall:
@@ -420,7 +422,7 @@ class Controller:
 
     def _report(self, initial: dict, reason: str) -> dict:
         winner = None
-        for nid in sorted(self.goal_nodes()):
+        for nid in sorted(self.goal_nodes):
             belief = self.net.belief(nid)
             best = int(np.argmax(belief))
             cand = {

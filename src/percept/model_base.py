@@ -76,6 +76,14 @@ def _field(rec: dict, key: str, kind, path, default=_REQUIRED):
     return _read(value, kind, (path, key))
 
 
+def _finite(rec: dict, key: str, path, default=_REQUIRED):
+    """``rec[key]`` read as a number that is neither infinite nor NaN."""
+    value = _field(rec, key, _NUMBER, path, default)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"{_name((path, key))}: expected a finite number, got {value!r}")
+    return value
+
+
 def _each(rec: dict, key: str, kind, path, default=_REQUIRED):
     """(item path, item) for each item of the list ``rec[key]``, read as ``kind``."""
     for i, item in enumerate(_field(rec, key, list, path, default)):
@@ -321,9 +329,9 @@ class ControlConfig:
         return ControlConfig(
             budget_t=int(round(budget)),
             epsilon=float(_field(raw, "epsilon", _NUMBER, "control", 0.1)),
-            processors=int(_field(raw, "processors", _NUMBER, "control", 1)),
+            processors=int(_finite(raw, "processors", "control", 1)),
             termination_belief=belief,
-            seed=int(_field(raw, "seed", _NUMBER, "control", 0)),
+            seed=int(_finite(raw, "seed", "control", 0)),
             max_wall=float(_field(raw, "max_wall", _NUMBER, "control", float("inf"))),
             value_mode=_field(raw, "value_mode", str, "control", "OUTCOME_MARGINAL"),
             duration_jitter=float(_field(raw, "duration_jitter", _NUMBER, "control", 0.0)),
@@ -558,7 +566,7 @@ def _build_groups(records) -> tuple[dict[str, ModelNode], dict[str, HypothesisSe
                 (_field(p, "child", str, pat), _field(p, "cpt", str, pat))
                 for pat, p in _each(rec, "parts", dict, at, [])
             ),
-            min_parts=int(_field(rec, "min_parts", _NUMBER, at, 1)),
+            min_parts=int(_finite(rec, "min_parts", at, 1)),
         )
 
     groups: dict[str, HypothesisSet] = {}
@@ -662,10 +670,8 @@ def build_model_base(raw: dict) -> ModelBase:
     if len(set(ids)) != len(ids):
         raise ScenarioError("duplicate action template ids")
 
-    goal_values = {
-        label: float(_read(value, _NUMBER, ("goal_values", label)))
-        for label, value in _field(raw, "goal_values", dict, "").items()
-    }
+    goals = _field(raw, "goal_values", dict, "")
+    goal_values = {label: float(_finite(goals, label, "goal_values")) for label in goals}
     return ModelBase(
         nodes=nodes,
         groups=groups,

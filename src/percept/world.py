@@ -15,7 +15,16 @@ import numpy as np
 
 from .bayes_net import BayesNet
 from .errors import ScenarioError, UnknownIdError
-from .model_base import _NUMBER, NO_MATCH_OUTCOME, HypothesisSet, ModelBase, _each, _field, _read
+from .model_base import (
+    _NUMBER,
+    NO_MATCH_OUTCOME,
+    HypothesisSet,
+    ModelBase,
+    _each,
+    _field,
+    _finite,
+    _read,
+)
 
 VEHICLE_TYPE = "vehicle"
 
@@ -53,7 +62,9 @@ class ClusterParams:
     max_extent: float
 
     def __post_init__(self):
-        if self.max_intervehicle_distance <= 0 or self.max_extent <= 0:
+        # "not > 0" also rejects a NaN distance, which could not bucket
+        # detections into grid cells
+        if not self.max_intervehicle_distance > 0 or self.max_extent <= 0:
             raise ScenarioError("cluster distances must be > 0")
         if self.min_count > self.max_count:
             raise ScenarioError(
@@ -203,8 +214,8 @@ class World:
 
         t = _field(raw, "terrain", dict, "world", _DEFAULT_TERRAIN)
         grid = TerrainGrid(
-            _field(t, "width", _NUMBER, "world.terrain"),
-            _field(t, "height", _NUMBER, "world.terrain"),
+            _finite(t, "width", "world.terrain"),
+            _finite(t, "height", "world.terrain"),
             _field(t, "cells", list, "world.terrain"),
             _field(t, "support", dict, "world.terrain"),
         )
@@ -220,8 +231,8 @@ class World:
         at = "world.cluster_params"
         params = ClusterParams(
             max_intervehicle_distance=float(_field(c, "max_intervehicle_distance", _NUMBER, at, 1.0)),
-            min_count=int(_field(c, "min_count", _NUMBER, at, 1)),
-            max_count=int(_field(c, "max_count", _NUMBER, at, 10**6)),
+            min_count=int(_finite(c, "min_count", at, 1)),
+            max_count=int(_finite(c, "max_count", at, 10**6)),
             max_extent=float(_field(c, "max_extent", _NUMBER, at, 1e9)),
         )
         optional = {}  # only the keys present: World's own defaults cover the rest
@@ -239,7 +250,7 @@ class World:
             entities=entities,
             terrain=grid,
             detect_prob=float(_field(raw, "detect_prob", _NUMBER, "world", 1.0)),
-            false_alarm_rate=float(_field(raw, "false_alarm_rate", _NUMBER, "world", 0.0)),
+            false_alarm_rate=float(_finite(raw, "false_alarm_rate", "world", 0.0)),
             cluster_params=params,
             **optional,
         )

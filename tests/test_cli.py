@@ -290,7 +290,10 @@ class TestValidate:
 # -- the mutation family: every field of the bundled scenario, corrupted -------
 
 _DELETE = object()
-_MUTATIONS = {"delete": _DELETE, "null": None, "5": 5, "x": "x", "[]": [], "{}": {}}
+_MUTATIONS = {
+    "delete": _DELETE, "null": None, "5": 5, "x": "x", "[]": [], "{}": {},
+    "Infinity": float("inf"), "NaN": float("nan"),
+}
 
 
 def _field_paths(node, path=()):
@@ -340,9 +343,9 @@ _NUMPY_MESSAGE = re.compile(r"could not convert|inhomogeneous|setting an array e
     ["models", "cpts", "outcome_tables", "actions", "goal_values", "world", "control"],
 )
 def test_every_field_mutation_is_named_or_runs(tmp_path, capsys, section):
-    """Each field of the brigade, deleted or set to null, 5, "x", [] or {},
-    either fails ``validate`` with one named error line that ``run`` prints
-    too, or passes ``validate`` and runs to exit 0 or 2."""
+    """Each field of the brigade, deleted or set to null, 5, "x", [], {},
+    Infinity or NaN, either fails ``validate`` with one named error line
+    that ``run`` prints too, or passes ``validate`` and runs to exit 0 or 2."""
     text = BRIGADE.read_text()
     paths = [p for p in _field_paths(json.loads(text)) if p[0] == section]
     assert paths

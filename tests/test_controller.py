@@ -164,6 +164,22 @@ class TestRuns:
         assert report["terminated_reason"] == "quiescent"
         assert len(report["steps"]) == 1
 
+    @pytest.mark.parametrize(
+        "mb",
+        [
+            # brigade nodes are made by matches; tiny's goal group is the leaf
+            pytest.param(load_scenario(BRIGADE), id="brigade"),
+            pytest.param(build_model_base(tiny_scenario(units=2)), id="tiny"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 5, 7])
+    def test_goal_nodes_kept_in_instantiation_order(self, mb, seed):
+        ctl = Controller(mb, seed=seed)
+        ctl.run()
+        goal = mb.goal_group
+        assert ctl.goal_nodes
+        assert ctl.goal_nodes == [nid for nid, n in ctl.net.nodes.items() if n.group == goal]
+
 
 class TestCandidates:
     def test_empty_net(self):

@@ -10,11 +10,8 @@ termination belief is reached.
 
 from .bayes_net import BayesNet, BayesNode, NetEdge
 from .controller import (
-    CONTINUE,
-    TERMINATED,
     Controller,
     SimulatedPool,
-    StepRecord,
     audit_report,
     check_termination,
     recorded_plans,

@@ -19,6 +19,7 @@ of small likelihoods.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +187,10 @@ class BayesNet:
             raise InconsistentEvidenceError(
                 f"all-zero likelihood on {node_id!r} contradicts every hypothesis"
             )
-        node.evidence = vec.copy() if node.evidence is None else node.evidence * vec
+        ev = vec if node.evidence is None else node.evidence * vec
+        # rescale by a power of two so a long product cannot underflow to 0;
+        # the evidence message ev / ev.sum() is unchanged bit for bit
+        node.evidence = np.ldexp(ev, -math.frexp(max(ev.tolist()))[1])
         self._dirty.add(node_id)
 
     def _combined_cpt(

@@ -13,9 +13,9 @@ evidence stream and therefore the exact same posteriors.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,43 +26,12 @@ from .model_base import ControlConfig, ModelBase
 from .planner import KnapsackInstance, KnapsackItem, Plan, solve_approx
 from .valuation import ActionInstance, Valuer, ValueMode
 
-TERMINATED = "TERMINATED"
-CONTINUE = "CONTINUE"
+# a run with no wall that takes this many steps is unbounded; not a user option
+MAX_STEPS = 10_000
 
 _DETECT_STREAM = 13
 _ACTION_STREAM = 29
 _JITTER_STREAM = 43
-
-
-@dataclass
-class StepRecord:
-    """One control-loop iteration, sufficient to audit and replay the run."""
-
-    index: int
-    candidates: list[ActionInstance]
-    plan: Plan
-    completions: list[tuple[str, str, int]]  # (action id, outcome id, finish time)
-    cancelled: list[str]
-    beliefs_after: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.index,
-            "candidates": [
-                {
-                    "id": c.id,
-                    "kind": c.kind,
-                    "target": c.target_node,
-                    "value": c.value,
-                    "cost": c.cost,
-                }
-                for c in self.candidates
-            ],
-            "plan": self.plan.to_dict(),
-            "completions": [list(c) for c in self.completions],
-            "cancelled": list(self.cancelled),
-            "beliefs_after": self.beliefs_after,
-        }
 
 
 class SimulatedPool:
@@ -117,12 +86,11 @@ class SimulatedPool:
         return out
 
 
-def check_termination(net: BayesNet, config: ControlConfig, goal_nodes) -> str:
-    """TERMINATED once any goal node's maximum belief reaches the threshold."""
-    for nid in goal_nodes:
-        if float(net.belief(nid).max()) >= config.termination_belief:
-            return TERMINATED
-    return CONTINUE
+def check_termination(net: BayesNet, config: ControlConfig, goal_nodes) -> bool:
+    """True once any goal node's maximum belief reaches the threshold."""
+    return any(
+        float(net.belief(nid).max()) >= config.termination_belief for nid in goal_nodes
+    )
 
 
 class Controller:
@@ -135,25 +103,15 @@ class Controller:
         seed: int | None = None,
         budget: int | None = None,
         epsilon: float | None = None,
-        termination_belief: float | None = None,
         max_wall: float | None = None,
         value_mode: str | None = None,
     ):
-        base = model_base.control
+        overrides = dict(seed=seed, budget_t=budget, epsilon=epsilon,
+                         max_wall=max_wall, value_mode=value_mode)
         self.mb = model_base
-        self.config = ControlConfig(
-            budget_t=base.budget_t if budget is None else int(budget),
-            epsilon=base.epsilon if epsilon is None else float(epsilon),
-            processors=base.processors,
-            termination_belief=(
-                base.termination_belief
-                if termination_belief is None
-                else float(termination_belief)
-            ),
-            seed=base.seed if seed is None else int(seed),
-            max_wall=base.max_wall if max_wall is None else float(max_wall),
-            value_mode=base.value_mode if value_mode is None else str(value_mode),
-            duration_jitter=base.duration_jitter,
+        # replace() re-runs ControlConfig's range checks on the overrides
+        self.config = dataclasses.replace(
+            model_base.control, **{k: v for k, v in overrides.items() if v is not None}
         )
         self.mode = ValueMode(self.config.value_mode)
         self.net = BayesNet()
@@ -162,8 +120,8 @@ class Controller:
         self.fired: set[tuple[str, str]] = set()
         self._template_index = {t.id: i for i, t in enumerate(model_base.actions)}
         self.clock = 0
-        self.steps: list[StepRecord] = []
-        self.detections: tuple = ()
+        #: each step's report entry, in order
+        self.steps: list[dict] = []
         self.clusters: list = []
         #: the net's nodes of the goal group, in instantiation order
         self.goal_nodes: list[str] = []
@@ -173,11 +131,11 @@ class Controller:
     def initialize(self) -> None:
         """Detect, cluster, and instantiate the initial unit-level nodes."""
         rng = np.random.default_rng((self.config.seed, _DETECT_STREAM))
-        self.detections = world_sim.generate_detections(self.world, rng=rng)
+        detections = world_sim.generate_detections(self.world, rng=rng)
         leaf = self.mb.leaf_group()
         base = self.mb.hypothesis_set(leaf)
         self.clusters = world_sim.cluster_detections(
-            self.detections, self.world.cluster_params, base=base
+            detections, self.world.cluster_params, base=base
         )
         unit_types = {lab for lab in base.labels if lab in self.mb.nodes}
         units = [e for e in self.world.entities.values() if e.type in unit_types]
@@ -325,8 +283,9 @@ class Controller:
 
     # -- the loop ---------------------------------------------------------------
 
-    def run_step(self, replay_ids: list[str] | None = None) -> StepRecord | None:
-        """One full iteration; None when nothing is selectable (quiescent)."""
+    def run_step(self, replay_ids: list[str] | None = None) -> dict | None:
+        """One full iteration, returned as the step's report entry; None when
+        nothing is selectable (quiescent)."""
         index = len(self.steps) + 1
         candidates = self.enumerate_candidates()
         if not candidates:
@@ -362,7 +321,7 @@ class Controller:
         pool = SimulatedPool(self.config.processors, clock=self.clock)
         pool.submit(ordered, [self._duration(index, c) for c in ordered])
 
-        completions: list[tuple[str, str, int]] = []
+        completions: list[list] = []  # [action id, outcome id, finish time]
         cancelled: list[str] = []
         while True:
             ev = pool.next_completion()
@@ -370,68 +329,64 @@ class Controller:
                 break
             finish, action = ev
             result = world_sim.execute_action(
-                action,
-                self.world,
-                self.net,
-                lambda: self._keyed_rng(_ACTION_STREAM, index, action),
-                self.bindings,
-                self.mb,
+                action, self.world, self.net,
+                lambda: self._keyed_rng(_ACTION_STREAM, index, action), self.bindings, self.mb,
             )
             self.apply_completion(action, result)
-            completions.append((action.id, result.outcome, finish))
-            if check_termination(self.net, self.config, self.goal_nodes) == TERMINATED:
+            completions.append([action.id, result.outcome, finish])
+            if check_termination(self.net, self.config, self.goal_nodes):
                 cancelled = [a.id for a in pool.cancel_all()]
                 break
         self.clock = pool.clock
         self.fired.update((a.target_node, a.template_id) for a in pool.dispatched)
-        return StepRecord(
-            index=index,
-            candidates=candidates,
-            plan=plan,
-            completions=completions,
-            cancelled=cancelled,
-            beliefs_after=self.net.snapshot(),
-        )
+        return {
+            "step": index,
+            "candidates": [{"id": c.id, "kind": c.kind, "target": c.target_node,
+                            "value": c.value, "cost": c.cost} for c in candidates],
+            "plan": plan.to_dict(),
+            "completions": completions,
+            "cancelled": cancelled,
+            "beliefs_after": self.net.snapshot(),
+        }
 
     def run(self, replay_plans: list[list[str]] | None = None) -> dict:
         """Drive steps until termination, quiescence, or the wall."""
         self.initialize()
         initial = self.net.snapshot()
-        reason = None
         while True:
-            if check_termination(self.net, self.config, self.goal_nodes) == TERMINATED:
+            if check_termination(self.net, self.config, self.goal_nodes):
                 reason = "terminated"
                 break
             if self.clock >= self.config.max_wall:
                 reason = "max_wall"
                 break
-            if len(self.steps) >= 10_000:
-                raise RuntimeError("run exceeded 10000 steps; scenario is unbounded")
+            if len(self.steps) >= MAX_STEPS:
+                raise ScenarioError(
+                    f"run exceeded {MAX_STEPS} steps without stopping; "
+                    "set control.max_wall to bound it"
+                )
             replay_ids = None
             if replay_plans is not None:
                 if len(self.steps) >= len(replay_plans):
                     reason = "quiescent"
                     break
                 replay_ids = replay_plans[len(self.steps)]
-            record = self.run_step(replay_ids)
-            if record is None:
+            step = self.run_step(replay_ids)
+            if step is None:
                 reason = "quiescent"
                 break
-            self.steps.append(record)
+            self.steps.append(step)
         return self._report(initial, reason)
 
     def _report(self, initial: dict, reason: str) -> dict:
+        # max keeps the first of equal beliefs: a tie goes to the smallest id
+        node = max(sorted(self.goal_nodes), key=lambda n: self.net.belief(n).max(), default=None)
         winner = None
-        for nid in sorted(self.goal_nodes):
-            belief = self.net.belief(nid)
+        if node is not None:
+            belief = self.net.belief(node)
             best = int(np.argmax(belief))
-            cand = {
-                "node": nid,
-                "label": self.net.node(nid).labels[best],
-                "belief": float(belief[best]),
-            }
-            if winner is None or cand["belief"] > winner["belief"]:
-                winner = cand
+            winner = {"node": node, "label": self.net.node(node).labels[best],
+                      "belief": float(belief[best])}
         return {
             "config": {
                 "budget_T": self.config.budget_t,
@@ -443,7 +398,7 @@ class Controller:
                 "duration_jitter": self.config.duration_jitter,
             },
             "initial_net": initial,
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": self.steps,
             "final_beliefs": self.net.snapshot(),
             "winner": winner,
             "terminated_reason": reason,

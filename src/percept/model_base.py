@@ -306,6 +306,8 @@ class ControlConfig:
             raise ScenarioError(
                 f"control: termination_belief {self.termination_belief} outside (0.5, 1]"
             )
+        if math.isnan(self.max_wall):
+            raise ScenarioError("control: max_wall is NaN")
         if self.value_mode not in ("OUTCOME_MARGINAL", "EXPECTED_ABS_CHANGE"):
             raise ScenarioError(f"control: unknown value_mode {self.value_mode!r}")
         if not (0.0 <= self.duration_jitter < 1.0):

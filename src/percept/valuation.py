@@ -63,15 +63,21 @@ class ActionInstance:
 Source = tuple[str, str]
 
 
-def _marginal_posteriors(
-    table: OutcomeTable, prior: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """p(parent | child label, action) for every child label, outcomes summed
-    out, and each label's total probability; a row with zero total is NaN."""
-    joint = table.entries.sum(axis=1) * prior  # (child, parent)
+def _bayes(link: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(parent | child) for every child label, from ``link[child, parent]``
+    = p(child | parent) and the parent prior, and each child label's total
+    probability; a row with zero total is NaN."""
+    joint = link * prior  # (child, parent)
     denom = joint.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return joint / denom[:, None], denom
+
+
+def _shift_values(link: np.ndarray, prior: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per child label, |p(parent | child) - prior| weighted by the parent
+    labels' values and summed; NaN at a child label of zero total."""
+    post, denom = _bayes(link, prior)
+    return np.where(denom > 0.0, (np.abs(post - prior) * values).sum(axis=1), np.nan)
 
 
 class Valuer:
@@ -132,9 +138,11 @@ class Valuer:
         elif parents:
             vec = np.zeros(len(labels))
             for parent, cpt in parents:
-                vec += self._confirmation_values(
-                    cpt.rows, self._distribution(parent)[1], self._value(parent)
+                # a child label of zero total cannot bear on the parent
+                shift = _shift_values(
+                    cpt.rows.T, self._distribution(parent)[1], self._value(parent)
                 )
+                vec += np.nan_to_num(shift, nan=0.0)
         elif kind == "node" and group is not None:
             vec = self._value(("group", group))
         else:
@@ -145,25 +153,6 @@ class Valuer:
             )
         self._values[source] = vec
         return vec
-
-    @staticmethod
-    def _confirmation_values(
-        rows: np.ndarray, parent_prob: np.ndarray, parent_values: np.ndarray
-    ) -> np.ndarray:
-        """Per-child-label value of full confirmation, via the linking table.
-
-        A child label whose posterior is undefined (zero joint mass) simply
-        contributes nothing.
-        """
-        joint = rows * parent_prob[:, None]  # (parent, child)
-        totals = joint.sum(axis=0)
-        out = np.zeros(rows.shape[1])
-        ok = totals > 0
-        post = np.zeros_like(joint)
-        post[:, ok] = joint[:, ok] / totals[ok]
-        shift = np.abs(post[:, ok] - parent_prob[:, None])
-        out[ok] = (shift * parent_values[:, None]).sum(axis=0)
-        return out
 
     # -- context sources ------------------------------------------------------
 
@@ -208,21 +197,19 @@ class Valuer:
         """
         self.posterior_evals += 1
         _, prior = self._distribution(source)
-        if self.mode is ValueMode.OUTCOME_MARGINAL:
-            post, denom = _marginal_posteriors(table, prior)
-            shift = np.abs(post - prior)
-        else:
-            joint = table.entries * prior  # (child, outcome, parent)
-            denom = joint.reshape(len(joint), -1).sum(axis=1)  # (outcome, parent) flat
-            mass = joint.sum(axis=2)  # (child, outcome)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                moved = (mass / denom[:, None])[..., None] * np.abs(
-                    joint / mass[..., None] - prior
-                )
-            # zero-mass outcomes move nothing; cumsum adds outcomes in order
-            moved = np.where(mass[..., None] > 0.0, moved, 0.0)
-            shift = np.cumsum(moved, axis=1)[:, -1]
         values = self._value(source)
+        if self.mode is ValueMode.OUTCOME_MARGINAL:
+            return _shift_values(table.entries.sum(axis=1), prior, values)
+        joint = table.entries * prior  # (child, outcome, parent)
+        denom = joint.reshape(len(joint), -1).sum(axis=1)  # (outcome, parent) flat
+        mass = joint.sum(axis=2)  # (child, outcome)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            moved = (mass / denom[:, None])[..., None] * np.abs(
+                joint / mass[..., None] - prior
+            )
+        # zero-mass outcomes move nothing; cumsum adds outcomes in order
+        moved = np.where(mass[..., None] > 0.0, moved, 0.0)
+        shift = np.cumsum(moved, axis=1)[:, -1]
         return np.where(denom > 0.0, (shift * values).sum(axis=1), np.nan)
 
     def _contraction(self, table: OutcomeTable, source: Source) -> np.ndarray:
@@ -261,7 +248,7 @@ class Valuer:
             if parent_label in labels:
                 self.posterior_evals += 1
                 ci = table.child_labels.index(child_label)
-                post, denom = _marginal_posteriors(table, prior)
+                post, denom = _bayes(table.entries.sum(axis=1), prior)
                 if denom[ci] <= 0.0:
                     raise UnsupportedConfigurationError(
                         f"action {action.id}: zero probability for label {child_label!r}"

@@ -62,9 +62,9 @@ class ClusterParams:
     max_extent: float
 
     def __post_init__(self):
-        # "not > 0" also rejects a NaN distance, which could not bucket
-        # detections into grid cells
-        if not self.max_intervehicle_distance > 0 or self.max_extent <= 0:
+        # "not > 0" also rejects NaN: a NaN distance could not bucket
+        # detections into grid cells, and a NaN extent would bind nothing
+        if not self.max_intervehicle_distance > 0 or not self.max_extent > 0:
             raise ScenarioError("cluster distances must be > 0")
         if self.min_count > self.max_count:
             raise ScenarioError(
@@ -173,6 +173,10 @@ class World:
             raise ScenarioError(f"detect_prob {self.detect_prob} outside [0, 1]")
         if self.false_alarm_rate < 0:
             raise ScenarioError("false_alarm_rate must be >= 0")
+        if not (0.0 <= self.confirm_belief <= 1.0):
+            raise ScenarioError(
+                f"world.search.confirm_belief {self.confirm_belief} outside [0, 1]"
+            )
         for key, pair in (("true", self.strength_true), ("false", self.strength_false)):
             if len(pair) != 2 or not (0.0 <= pair[0] <= pair[1] <= 1.0):
                 raise ScenarioError(f"world.detection_strength.{key}: expected [low, high] "

@@ -161,6 +161,15 @@ class TestEvidence:
         with pytest.raises(InconsistentEvidenceError):
             net.propagate()
 
+    def test_long_evidence_product_does_not_underflow(self):
+        # 0.5**1100 and 0.25**1100 are both 0.0 in float64
+        net = BayesNet()
+        a = net.instantiate_node(hs(0.5, 0.5))
+        for _ in range(1100):
+            net.attach_evidence(a, [0.5, 0.25])
+        net.propagate()
+        assert net.belief(a).tolist() == [1.0, 0.0]
+
     def test_attachment_order_does_not_matter(self):
         vecs = [np.array([0.9, 0.2, 0.4]), np.array([0.1, 0.8, 0.5])]
         beliefs = []

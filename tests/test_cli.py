@@ -75,6 +75,20 @@ class TestRun:
         ) in (0, 2)
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
+    def test_unbounded_run_is_a_named_error(self, tmp_path, capsys, monkeypatch):
+        # brigade seed 5 livelocks; with no wall only the step cap stops it
+        monkeypatch.setattr("percept.controller.MAX_STEPS", 20)
+        raw = json.loads(BRIGADE.read_text())
+        del raw["control"]["max_wall"]
+        path = tmp_path / "no-wall.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", "--scenario", str(path), "--seed", "5",
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: run exceeded 20 steps") and "control.max_wall" in err
+        assert "Traceback" not in err
+
     def test_trace_level_two_includes_candidates(self, tmp_path):
         out = tmp_path / "out"
         main(["run", "--scenario", str(BRIGADE), "--out", str(out), "--trace-level", "2"])
@@ -228,6 +242,34 @@ class TestValidate:
              "cells-number", "cells-row-number"],
     )
     def test_world_errors_fail_as_in_run(self, tmp_path, capsys, change, message):
+        raw = json.loads(BRIGADE.read_text())
+        change(raw)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda r: r["world"]["cluster_params"].update(max_extent=float("nan")),
+             "cluster distances must be > 0"),
+            (lambda r: r["world"]["search"].update(confirm_belief=float("nan")),
+             "world.search.confirm_belief nan outside [0, 1]"),
+            (lambda r: r["world"]["search"].update(confirm_belief=-1),
+             "world.search.confirm_belief -1.0 outside [0, 1]"),
+            (lambda r: r["control"].update(max_wall=float("nan")),
+             "control: max_wall is NaN"),
+        ],
+        ids=["max-extent-nan", "confirm-belief-nan", "confirm-belief-negative",
+             "max-wall-nan"],
+    )
+    def test_nan_and_out_of_range_fields_fail_as_in_run(
+        self, tmp_path, capsys, change, message
+    ):
         raw = json.loads(BRIGADE.read_text())
         change(raw)
         bad = tmp_path / "bad.json"

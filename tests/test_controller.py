@@ -9,8 +9,6 @@ import pytest
 from helpers import tiny_scenario
 from percept.bayes_net import BayesNet
 from percept.controller import (
-    CONTINUE,
-    TERMINATED,
     Controller,
     SimulatedPool,
     audit_report,
@@ -89,20 +87,20 @@ class TestTermination:
 
     def test_reached(self):
         net = self.net_with_goal([0.99, 0.01])
-        assert check_termination(net, self.config(0.99), ["goal"]) == TERMINATED
+        assert check_termination(net, self.config(0.99), ["goal"]) is True
 
     def test_not_reached(self):
         net = self.net_with_goal([0.5, 0.5])
-        assert check_termination(net, self.config(0.99), ["goal"]) == CONTINUE
+        assert check_termination(net, self.config(0.99), ["goal"]) is False
 
     def test_boundary_inclusive_at_one(self):
         net = BayesNet()
         hs = HypothesisSet(labels=("g", "other"), priors=np.array([1.0, 0.0]))
         net.instantiate_node(hs, node_id="goal")
-        assert check_termination(net, self.config(1.0), ["goal"]) == TERMINATED
+        assert check_termination(net, self.config(1.0), ["goal"]) is True
 
     def test_no_goal_nodes_continues(self):
-        assert check_termination(BayesNet(), self.config(0.99), []) == CONTINUE
+        assert check_termination(BayesNet(), self.config(0.99), []) is False
 
 
 class TestRuns:

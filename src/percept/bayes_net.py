@@ -14,7 +14,10 @@ by a deterministic, iterative two-sweep (leaves to root, then root to
 leaves) over that component's factor tree; priors and evidence factors
 send their message but receive none, since no belief reads it.  Messages
 are renormalized after every hop to guard against underflow on long chains
-of small likelihoods.
+of small likelihoods.  Each recomputed node gets a new ``stamp``; every
+node of a component keeps its stamp while the component's nodes, edges
+and evidence are untouched, so equal stamps mean equal beliefs and edges
+throughout the component.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ class BayesNode:
     """One instantiated node: a distribution over mutually exclusive labels.
 
     ``rank`` orders the factors propagation multiplies, and the controller
-    keys the random streams of an action on the node by it.
+    keys the random streams of an action on the node by it.  ``stamp`` is
+    the generation of the last :meth:`BayesNet.propagate` that recomputed
+    the node's component (0 before any); ``belief`` is replaced, never
+    written into, so a reference to it keeps that generation's values.
     """
 
     id: str
@@ -43,6 +49,7 @@ class BayesNode:
     prior: np.ndarray  # acts as the root prior until a parent is linked
     belief: np.ndarray
     evidence: np.ndarray | None = None  # product of attached likelihoods
+    stamp: int = 0
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -65,6 +72,7 @@ class BayesNet:
         self._edges: list[NetEdge] = []
         self._cpts: dict[str, np.ndarray] = {}  # p(node | all its parents), set by link
         self._dirty: set[str] = set()  # nodes touched since the last propagate
+        self._generation = 0  # propagate calls that recomputed anything
 
     # -- structure -------------------------------------------------------
 
@@ -238,11 +246,13 @@ class BayesNet:
 
     def propagate(self) -> None:
         """Recompute the exact posterior marginals of every component that
-        gained a node, edge or evidence since the last call; other beliefs
-        are left as they are (on a tree each message depends only on its own
-        subtree, so they would come out bit for bit the same)."""
+        gained a node, edge or evidence since the last call, and stamp its
+        nodes with this call's generation; other beliefs and stamps are left
+        as they are (on a tree each message depends only on its own subtree,
+        so they would come out bit for bit the same)."""
         if not self._dirty:
             return
+        self._generation += 1
         factors: dict[str, list[tuple[str, str]]] = {}  # node -> factors over it
         messages: dict[tuple, np.ndarray] = {}  # (sender, receiver) -> message
 
@@ -320,7 +330,9 @@ class BayesNet:
                 raise InconsistentEvidenceError(
                     f"posterior for {v!r} has zero total probability"
                 )
-            self.nodes[v].belief = out / s
+            node = self.nodes[v]
+            node.belief = out / s
+            node.stamp = self._generation
         self._dirty.clear()
 
     def belief(self, node_id: str) -> np.ndarray:

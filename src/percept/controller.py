@@ -9,6 +9,15 @@ as a goal node's belief crosses the termination threshold.
 The decision layer (valuation + knapsack) never touches beliefs: replaying
 a recorded plan sequence with the planner disabled reproduces the same
 evidence stream and therefore the exact same posteriors.
+
+Candidate work follows what changed.  Each (node, template) keeps one
+``ActionInstance``; its value, knapsack item and report entry are carried
+from step to step while the target's ``BayesNode.stamp`` holds, since a
+value reads only the model and the beliefs and edges of the target's
+component, which propagate restamps whenever they change.  Only new or
+restamped candidates go to a ``Valuer``.  ``solve_approx`` is pure, so a
+step whose knapsack instance equals the previous planned step's reuses
+that plan.
 """
 
 from __future__ import annotations
@@ -86,6 +95,22 @@ class SimulatedPool:
         return out
 
 
+@dataclasses.dataclass(slots=True)
+class _Carried:
+    """One (node, template)'s candidate, with its knapsack item and report
+    entry as of ``stamp``, the target's stamp when it was last valued."""
+
+    action: ActionInstance
+    stamp: int | None = None  # None: never valued
+    item: KnapsackItem | None = None
+    entry: dict | None = None
+
+
+def _candidate_entry(action: ActionInstance, value: float) -> dict:
+    return {"id": action.id, "kind": action.kind, "target": action.target_node,
+            "value": value, "cost": action.cost}
+
+
 def check_termination(net: BayesNet, config: ControlConfig, goal_nodes) -> bool:
     """True once any goal node's maximum belief reaches the threshold."""
     return any(
@@ -125,6 +150,8 @@ class Controller:
         self.clusters: list = []
         #: the net's nodes of the goal group, in instantiation order
         self.goal_nodes: list[str] = []
+        self._carried: dict[tuple[str, str], _Carried] = {}
+        self._last_plan: tuple[KnapsackInstance, Plan] | None = None
 
     # -- setup -------------------------------------------------------------
 
@@ -152,23 +179,28 @@ class Controller:
 
     def enumerate_candidates(self) -> list[ActionInstance]:
         """Every applicable, non-exhausted template of every node, in
-        (node id, kind, template id) order."""
+        (node id, kind, template id) order; one ``ActionInstance`` per
+        (node, template) for the whole run."""
         out = []
-        nodes, templates = self.net.nodes, self.mb.group_templates
+        nodes, templates, carried = self.net.nodes, self.mb.group_templates, self._carried
         for node_id in sorted(nodes):
             for t in templates[nodes[node_id].group]:
-                if not t.repeatable and (node_id, t.id) in self.fired:
+                key = (node_id, t.id)
+                if not t.repeatable and key in self.fired:
                     continue
-                out.append(
-                    ActionInstance(
-                        id=f"{node_id}:{t.id}",
-                        kind=t.kind,
-                        target_node=node_id,
-                        cost=t.cost,
-                        outcome_table=t.outcome_table,
-                        template_id=t.id,
+                entry = carried.get(key)
+                if entry is None:
+                    entry = carried[key] = _Carried(
+                        ActionInstance(
+                            id=f"{node_id}:{t.id}",
+                            kind=t.kind,
+                            target_node=node_id,
+                            cost=t.cost,
+                            outcome_table=t.outcome_table,
+                            template_id=t.id,
+                        )
                     )
-                )
+                out.append(entry.action)
         return out
 
     # -- evidence handling ----------------------------------------------------
@@ -291,26 +323,36 @@ class Controller:
         if not candidates:
             return None
         if replay_ids is None:
-            Valuer(self.net, self.mb, mode=self.mode).value_all_candidates(candidates)
-            instance = KnapsackInstance(
-                items=tuple(
-                    KnapsackItem(id=c.id, value=c.value, cost=c.cost)
-                    for c in candidates
-                ),
-                budget=self.config.budget_t,
+            nodes = self.net.nodes
+            carried = [self._carried[c.target_node, c.template_id] for c in candidates]
+            stale = [e for e in carried if e.stamp != nodes[e.action.target_node].stamp]
+            Valuer(self.net, self.mb, mode=self.mode).value_all_candidates(
+                [e.action for e in stale]
             )
-            plan = solve_approx(instance, self.config.epsilon)
+            for e in stale:
+                c = e.action
+                e.stamp = nodes[c.target_node].stamp
+                e.item = KnapsackItem(id=c.id, value=c.value, cost=c.cost)
+                e.entry = _candidate_entry(c, c.value)
+            instance = KnapsackInstance(
+                items=tuple(e.item for e in carried), budget=self.config.budget_t
+            )
+            if self._last_plan is None or self._last_plan[0] != instance:
+                self._last_plan = instance, solve_approx(instance, self.config.epsilon)
+            plan = self._last_plan[1]
+            entries = [e.entry for e in carried]
         else:
+            # replay values nothing: every candidate, and so the plan, is worth 0
             by_id = {c.id: c for c in candidates}
             missing = [i for i in replay_ids if i not in by_id]
             if missing:
                 raise ScenarioError(f"replay references unknown candidates {missing}")
-            chosen = [by_id[i] for i in replay_ids]
             plan = Plan(
                 selected=tuple(sorted(replay_ids)),
-                total_value=float(sum(c.value for c in chosen)),
-                total_cost=float(sum(c.cost for c in chosen)),
+                total_value=0.0,
+                total_cost=float(sum(by_id[i].cost for i in replay_ids)),
             )
+            entries = [_candidate_entry(c, 0.0) for c in candidates]
         if not plan.selected:
             return None
         if plan.total_cost > self.config.budget_t and replay_ids is None:
@@ -341,8 +383,7 @@ class Controller:
         self.fired.update((a.target_node, a.template_id) for a in pool.dispatched)
         return {
             "step": index,
-            "candidates": [{"id": c.id, "kind": c.kind, "target": c.target_node,
-                            "value": c.value, "cost": c.cost} for c in candidates],
+            "candidates": entries,
             "plan": plan.to_dict(),
             "completions": completions,
             "cancelled": cancelled,

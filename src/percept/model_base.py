@@ -308,6 +308,8 @@ class ControlConfig:
             )
         if math.isnan(self.max_wall):
             raise ScenarioError("control: max_wall is NaN")
+        if self.max_wall < 0:
+            raise ScenarioError(f"control: negative max_wall {self.max_wall}")
         if self.value_mode not in ("OUTCOME_MARGINAL", "EXPECTED_ABS_CHANGE"):
             raise ScenarioError(f"control: unknown value_mode {self.value_mode!r}")
         if not (0.0 <= self.duration_jitter < 1.0):

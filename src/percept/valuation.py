@@ -86,8 +86,14 @@ class Valuer:
     Label values are computed once per source, contractions once per
     (outcome table, source), an action's sources once per (target, parent
     group) and a node value once per (outcome table, sources); candidates
-    share them all.  The net's structure must not change while a Valuer
-    lives.  The valuation mode is fixed at construction.
+    share them all.  The beliefs are those of construction, held by
+    reference; the net's structure must not change while a Valuer lives.
+    The valuation mode is fixed at construction.
+
+    A value reads only the model and the beliefs and edges of the target's
+    component, so it holds while the target's ``BayesNode.stamp`` does:
+    the controller carries it across steps and hands a Valuer only the
+    candidates whose stamp moved.
     """
 
     def __init__(
@@ -104,8 +110,10 @@ class Valuer:
         self._sources_of: dict[tuple[str, str], tuple[Source, ...]] = {}
         self._totals: dict[tuple[str, tuple[Source, ...]], float] = {}
         self._values: dict[Source, np.ndarray] = {}
+        # propagate replaces belief arrays and never writes into them, so
+        # references keep the construction-time beliefs
         self._beliefs: dict[str, np.ndarray] = {
-            nid: net.belief(nid) for nid in net.nodes
+            nid: node.belief for nid, node in net.nodes.items()
         }
 
     # -- value recursion ---------------------------------------------------

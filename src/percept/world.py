@@ -421,10 +421,9 @@ def bind_cluster(
 
 def _confirmed(net: BayesNet, node_id: str, threshold: float) -> bool:
     node = net.node(node_id)
-    belief = net.belief(node_id)
     null = node.hypotheses.null_label
     best = max(
-        (float(b) for lab, b in zip(node.labels, belief) if lab != null),
+        (float(b) for lab, b in zip(node.labels, node.belief) if lab != null),
         default=0.0,
     )
     return best >= threshold

@@ -338,6 +338,46 @@ def test_propagate_leaves_unchanged_components_alone():
         assert np.array_equal(net.belief(nid), fresh.belief(nid)), nid
 
 
+def test_propagate_restamps_exactly_the_recomputed_components():
+    """Each propagate that recomputes something gives every node of each
+    recomputed component one new stamp, and no other node a new one."""
+    rows = [[0.9, 0.1], [0.2, 0.8]]
+    net = BayesNet()
+    for nid in "abcdef":
+        net.instantiate_node(hs(0.5, 0.5, labels=(f"{nid}0", f"{nid}1")), node_id=nid)
+
+    def link(parent, child):
+        net.link(parent, child, table(net.node(parent).labels, net.node(child).labels, rows))
+
+    link("a", "b")
+    link("c", "d")
+    assert {n.stamp for n in net.nodes.values()} == {0}
+    net.propagate()
+    first = {nid: n.stamp for nid, n in net.nodes.items()}
+    assert len(set(first.values())) == 1 and first["a"] != 0
+
+    def restamped():
+        before = {nid: n.stamp for nid, n in net.nodes.items()}
+        net.propagate()
+        after = {nid: n.stamp for nid, n in net.nodes.items()}
+        moved = {nid for nid in after if after[nid] != before[nid]}
+        assert len({after[nid] for nid in moved}) <= 1  # one generation per call
+        return moved
+
+    assert restamped() == set()  # nothing changed
+    net.attach_evidence("b", [0.8, 0.1])
+    assert restamped() == {"a", "b"}
+    net.attach_evidence("b", [0.8, 0.1])
+    net.attach_evidence("f", [0.3, 0.6])
+    assert restamped() == {"a", "b", "f"}
+    link("d", "e")  # e joins c - d
+    assert restamped() == {"c", "d", "e"}
+    link("b", "c")  # the two chains merge
+    assert restamped() == {"a", "b", "c", "d", "e"}
+    net.instantiate_node(hs(0.5, 0.5, labels=("g0", "g1")), node_id="g")
+    assert restamped() == {"g"}
+
+
 def test_long_chain_propagates_without_recursion():
     """Evidence at the tail of a 2000-node chain reaches the head; beliefs
     match a plain-float forward-backward pass."""

@@ -263,9 +263,11 @@ class TestValidate:
              "world.search.confirm_belief -1.0 outside [0, 1]"),
             (lambda r: r["control"].update(max_wall=float("nan")),
              "control: max_wall is NaN"),
+            (lambda r: r["control"].update(max_wall=-1),
+             "control: negative max_wall -1.0"),
         ],
         ids=["max-extent-nan", "confirm-belief-nan", "confirm-belief-negative",
-             "max-wall-nan"],
+             "max-wall-nan", "max-wall-negative"],
     )
     def test_nan_and_out_of_range_fields_fail_as_in_run(
         self, tmp_path, capsys, change, message

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import tiny_scenario
+from helpers import tiled_brigade, tiny_scenario
+from percept import controller
 from percept.bayes_net import BayesNet
 from percept.controller import (
     Controller,
@@ -16,7 +17,9 @@ from percept.controller import (
     recorded_plans,
     replay_scenario,
 )
+from percept.errors import ScenarioError
 from percept.model_base import ControlConfig, HypothesisSet, build_model_base, load_scenario
+from percept.planner import KnapsackInstance, KnapsackItem, solve_approx
 from percept.valuation import ActionInstance
 from percept.world import ActionResult
 
@@ -123,6 +126,10 @@ class TestRuns:
         mb = build_model_base(tiny_scenario(budget=0, units=1))
         report = Controller(mb).run()
         assert report["terminated_reason"] == "quiescent"
+
+    def test_negative_max_wall_rejected(self):
+        with pytest.raises(ScenarioError, match="negative max_wall -1"):
+            Controller(build_model_base(tiny_scenario(units=1)), max_wall=-1)
 
     def test_max_wall_stops_repeatable_probing(self):
         mb = build_model_base(
@@ -242,6 +249,41 @@ class TestCandidates:
         ctl.initialize()
         kinds = {c.kind for c in ctl.enumerate_candidates()}
         assert {"REFINE-TYPE", "SEARCH", "TERRAIN-SUPPORT"} <= kinds
+
+
+class TestCarry:
+    def test_reused_plans_equal_a_fresh_solve(self, monkeypatch):
+        """Steps whose knapsack instance repeats the last one reuse its plan;
+        every step's plan equals solve_approx of that step's instance."""
+        calls = []
+
+        def counted(instance, epsilon):
+            calls.append(instance)
+            return solve_approx(instance, epsilon)
+
+        monkeypatch.setattr(controller, "solve_approx", counted)
+        ctl = Controller(build_model_base(tiled_brigade(8)), seed=7)
+        report = ctl.run()
+        assert 0 < len(calls) < len(report["steps"]) / 4
+        for step in report["steps"]:
+            instance = KnapsackInstance(
+                items=tuple(KnapsackItem(c["id"], c["value"], c["cost"])
+                            for c in step["candidates"]),
+                budget=ctl.config.budget_t,
+            )
+            assert solve_approx(instance, ctl.config.epsilon).to_dict() == step["plan"]
+
+    def test_replayed_step_after_planned_steps_values_nothing(self):
+        """Values carried from planned steps reach neither a replayed step's
+        candidates nor its plan's total value."""
+        ctl = Controller(load_scenario(BRIGADE), seed=7)
+        ctl.initialize()
+        assert ctl.run_step()["plan"]["total_value"] > 0
+        valued = [c.id for c in ctl.enumerate_candidates() if c.value > 0]
+        assert valued
+        step = ctl.run_step(replay_ids=valued)
+        assert step["plan"]["total_value"] == 0.0
+        assert {c["value"] for c in step["candidates"]} == {0.0}
 
 
 @pytest.fixture(scope="module")

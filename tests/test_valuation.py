@@ -332,30 +332,49 @@ class TestEvaluationBudget:
 
 
 class TestSharedValuation:
-    """Values shared across candidates equal, bit for bit, those of a fresh
-    Valuer per candidate."""
+    """Values shared across candidates, or carried across steps, equal bit
+    for bit those of a fresh Valuer."""
 
     @staticmethod
     def check_run(monkeypatch, raw, **kw):
-        steps = []
+        """Run, checking at every step each valued candidate against a fresh
+        Valuer of its own and every reported value, carried or not, against
+        a fresh Valuer of the step; returns the controller and the counts
+        of (valued, reported) candidates per step."""
+        valued, reported = [], []
 
         def check(val, cands):
             for cand in cands:
                 alone = Valuer(val.net, val.mb, mode=val.mode).value_of_action_at_node(cand)
                 assert cand.value.hex() == alone.hex(), cand.id
-            steps.append(len(cands))
+            valued.append(len(cands))
 
         watch_steps(monkeypatch, check)
+        run_step = Controller.run_step
+
+        def checked_step(ctl, replay_ids=None):
+            fresh = Valuer(ctl.net, ctl.mb, mode=ctl.mode)
+            want = {
+                c.id: fresh.value_of_action_at_node(c).hex()
+                for c in ctl.enumerate_candidates()
+            }
+            step = run_step(ctl, replay_ids)
+            if step is not None:
+                assert {c["id"]: c["value"].hex() for c in step["candidates"]} == want
+                reported.append(len(want))
+            return step
+
+        monkeypatch.setattr(Controller, "run_step", checked_step)
         ctl = Controller(build_model_base(raw), **kw)
         ctl.run()
-        assert len(steps) == len(ctl.steps) > 0
-        return ctl
+        assert len(valued) == len(reported) == len(ctl.steps) > 0
+        return ctl, valued, reported
 
     @pytest.mark.parametrize("mode", [m.value for m in ValueMode])
     @pytest.mark.parametrize("seed", [5, 7])
     def test_brigade_runs(self, monkeypatch, seed, mode):
         raw = json.loads(BRIGADE.read_text(encoding="utf-8"))
-        ctl = self.check_run(monkeypatch, raw, seed=seed, value_mode=mode)
+        ctl, _, _ = self.check_run(monkeypatch, raw, seed=seed, value_mode=mode)
         if seed == 5:  # linked parents: some candidate bears on a net node
             assert any(ctl.net.parents(n) for n in ctl.net.nodes)
 
@@ -363,8 +382,11 @@ class TestSharedValuation:
         self.check_run(monkeypatch, tiled_brigade(4), seed=3)
 
     def test_tiled_8_run(self, monkeypatch):
-        """The benchmark's tiled-8 world: many candidates share each key."""
-        self.check_run(monkeypatch, tiled_brigade(8), seed=7)
+        """The benchmark's tiled-8 world: many candidates share each key, and
+        most steps carry every value from the step before."""
+        _, valued, reported = self.check_run(monkeypatch, tiled_brigade(8), seed=7)
+        assert valued[0] == reported[0]
+        assert sum(valued) < sum(reported) / 10
 
 
 def test_values_read_the_construction_time_beliefs():

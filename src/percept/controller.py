@@ -101,6 +101,7 @@ class _Carried:
     entry as of ``stamp``, the target's stamp when it was last valued."""
 
     action: ActionInstance
+    fired: bool = False  # dispatched in some step
     stamp: int | None = None  # None: never valued
     item: KnapsackItem | None = None
     entry: dict | None = None
@@ -142,7 +143,6 @@ class Controller:
         self.net = BayesNet()
         self.world = world_sim.World.from_dict(model_base)
         self.bindings: dict[str, world_sim.Binding] = {}
-        self.fired: set[tuple[str, str]] = set()
         self._template_index = {t.id: i for i, t in enumerate(model_base.actions)}
         self.clock = 0
         #: each step's report entry, in order
@@ -168,12 +168,16 @@ class Controller:
         units = [e for e in self.world.entities.values() if e.type in unit_types]
         max_extent = self.world.cluster_params.max_extent
         for k, cluster in enumerate(self.clusters):
-            node_id = f"u{k + 1}"
-            self.net.instantiate_node(cluster.seed, leaf, node_id=node_id)
-            if leaf == self.mb.goal_group:
-                self.goal_nodes.append(node_id)
-            self.bindings[node_id] = world_sim.bind_cluster(units, cluster, max_extent)
+            self._instantiate(f"u{k + 1}", cluster.seed, leaf,
+                              world_sim.bind_cluster(units, cluster, max_extent))
         self.net.propagate()
+
+    def _instantiate(self, node_id: str, hypotheses, group: str, binding) -> None:
+        """Add a node to the net, bound to ``binding`` in the world."""
+        self.net.instantiate_node(hypotheses, group, node_id=node_id)
+        if group == self.mb.goal_group:
+            self.goal_nodes.append(node_id)
+        self.bindings[node_id] = binding
 
     # -- candidate enumeration ----------------------------------------------
 
@@ -186,8 +190,6 @@ class Controller:
         for node_id in sorted(nodes):
             for t in templates[nodes[node_id].group]:
                 key = (node_id, t.id)
-                if not t.repeatable and key in self.fired:
-                    continue
                 entry = carried.get(key)
                 if entry is None:
                     entry = carried[key] = _Carried(
@@ -200,6 +202,8 @@ class Controller:
                             template_id=t.id,
                         )
                     )
+                elif entry.fired and not t.repeatable:
+                    continue
                 out.append(entry.action)
         return out
 
@@ -257,17 +261,11 @@ class Controller:
         )
         if parent_id is None:
             parent_id = f"{parent_group}{len(members) + 1}"
-            hs = self.mb.hypothesis_set(parent_group)
-            self.net.instantiate_node(hs, parent_group, node_id=parent_id)
-            if parent_group == self.mb.goal_group:
-                self.goal_nodes.append(parent_id)
             xs = [self.bindings[s].x for s in result.siblings]
             ys = [self.bindings[s].y for s in result.siblings]
-            self.bindings[parent_id] = world_sim.Binding(
-                entity=result.parent_entity,
-                x=sum(xs) / len(xs),
-                y=sum(ys) / len(ys),
-            )
+            hs = self.mb.hypothesis_set(parent_group)
+            binding = world_sim.Binding(result.parent_entity, sum(xs) / len(xs), sum(ys) / len(ys))
+            self._instantiate(parent_id, hs, parent_group, binding)
         for sib in result.siblings:
             already = any(
                 self.net.node(pid).group == parent_group
@@ -380,7 +378,8 @@ class Controller:
                 cancelled = [a.id for a in pool.cancel_all()]
                 break
         self.clock = pool.clock
-        self.fired.update((a.target_node, a.template_id) for a in pool.dispatched)
+        for a in pool.dispatched:
+            self._carried[a.target_node, a.template_id].fired = True
         return {
             "step": index,
             "candidates": entries,

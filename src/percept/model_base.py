@@ -3,11 +3,13 @@
 A scenario is a single JSON document with sections ``models``, ``cpts``,
 ``outcome_tables``, ``actions``, ``goal_values``, ``world`` and ``control``.
 Every field of it (and of a knapsack instance) is read through the readers
-below (``_read``, ``_field``, ``_each``, ``_labels``, ``_array``): a value
-of the wrong kind is ``<path>: expected <kind>, got <value>`` and an absent
-required key ``<path>: missing '<key>'``, with JSON paths from the document
-root such as ``cpts.cpt_force.rows`` or ``world.entities[3].x``.  Everything
-loaded here is immutable afterwards and safe to share between workers.
+below (``_read``, ``_field``, ``_each``, ``_labels``, ``_array``, and
+``_finite`` and ``_whole`` for numbers): a value of the wrong kind is
+``<path>: expected <kind>, got <value>`` and an absent required key
+``<path>: missing '<key>'``, with JSON paths from the document root such
+as ``cpts.cpt_force.rows`` or ``world.entities[3].x``.  A boolean is never
+a number.  Everything loaded here is immutable afterwards and safe to
+share between workers.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ def _name(path) -> str:
 
 
 def _read(value, kind, path):
-    """``value`` if it is of ``kind``, else ``<path>: expected <kind>, got <value>``."""
-    if isinstance(value, kind):
+    """``value`` if it is of ``kind``, else ``<path>: expected <kind>, got <value>``.
+    A boolean is of no kind but ``bool``, although ``bool`` subclasses ``int``."""
+    if isinstance(value, kind) and (kind is bool or value.__class__ is not bool):
         return value
     raise ScenarioError(f"{_name(path)}: expected {_KINDS[kind]}, got {value!r}")
 
@@ -68,7 +71,10 @@ def _field(rec: dict, key: str, kind, path, default=_REQUIRED):
     """``rec[key]`` read as ``kind``, ``rec`` being the object at ``path``.  An absent key
     (or a null one, where the default is None) gives ``default``, else ``missing '<key>'``."""
     value = rec.get(key, default)
-    if isinstance(value, kind) or (value is default and value is not _REQUIRED):
+    # a boolean takes the slow path, where _read accepts it only as a bool
+    if value.__class__ is not bool and isinstance(value, kind) or (
+        value is default and value is not _REQUIRED
+    ):
         return value
     if value is _REQUIRED:
         where = _name(path)
@@ -81,6 +87,16 @@ def _finite(rec: dict, key: str, path, default=_REQUIRED):
     value = _field(rec, key, _NUMBER, path, default)
     if isinstance(value, float) and not math.isfinite(value):
         raise ScenarioError(f"{_name((path, key))}: expected a finite number, got {value!r}")
+    return value
+
+
+def _whole(rec: dict, key: str, path, default=_REQUIRED) -> int:
+    """``rec[key]`` read as a finite number within 1e-9 of a whole one, rounded to it."""
+    value = _field(rec, key, _NUMBER, path, default)
+    if isinstance(value, float):
+        if not math.isfinite(value) or abs(value - round(value)) > 1e-9:
+            raise ScenarioError(f"{_name((path, key))}: expected a whole number, got {value!r}")
+        value = round(value)
     return value
 
 
@@ -106,7 +122,7 @@ def _array(rec: dict, key: str, depth: int, path) -> np.ndarray:
         arr = np.array(value)
     except ValueError:  # lists of unequal length
         arr = None
-    if arr is None or arr.ndim != depth or arr.dtype.kind not in "biuf":
+    if arr is None or arr.ndim != depth or arr.dtype.kind not in "iuf":
         _walk(value, depth, (path, key))
         raise ScenarioError(f"{_name((path, key))}: expected a {depth}-d array, got {value!r}")
     return arr.astype(float, copy=False)
@@ -327,15 +343,12 @@ class ControlConfig:
             belief = ratio / (1.0 + ratio)
         else:
             belief = float(_field(raw, "termination_belief", _NUMBER, "control", 0.99))
-        budget = _field(raw, "budget_T", _NUMBER, "control", 0)
-        if not math.isfinite(budget) or abs(budget - round(budget)) > 1e-9:
-            raise ScenarioError(f"control: budget_T {budget} must be integral")
         return ControlConfig(
-            budget_t=int(round(budget)),
+            budget_t=_whole(raw, "budget_T", "control", 0),
             epsilon=float(_field(raw, "epsilon", _NUMBER, "control", 0.1)),
-            processors=int(_finite(raw, "processors", "control", 1)),
+            processors=_whole(raw, "processors", "control", 1),
             termination_belief=belief,
-            seed=int(_finite(raw, "seed", "control", 0)),
+            seed=_whole(raw, "seed", "control", 0),
             max_wall=float(_field(raw, "max_wall", _NUMBER, "control", float("inf"))),
             value_mode=_field(raw, "value_mode", str, "control", "OUTCOME_MARGINAL"),
             duration_jitter=float(_field(raw, "duration_jitter", _NUMBER, "control", 0.0)),
@@ -570,7 +583,7 @@ def _build_groups(records) -> tuple[dict[str, ModelNode], dict[str, HypothesisSe
                 (_field(p, "child", str, pat), _field(p, "cpt", str, pat))
                 for pat, p in _each(rec, "parts", dict, at, [])
             ),
-            min_parts=int(_finite(rec, "min_parts", at, 1)),
+            min_parts=_whole(rec, "min_parts", at, 1),
         )
 
     groups: dict[str, HypothesisSet] = {}
@@ -650,22 +663,15 @@ def build_model_base(raw: dict) -> ModelBase:
 
     actions = []
     for at, rec in _each(raw, "actions", dict, ""):
-        aid = _field(rec, "id", str, at)
-        cost = _field(rec, "cost", _NUMBER, at, 0)
-        if not math.isfinite(cost) or abs(cost - round(cost)) > 1e-9:
-            raise ScenarioError(
-                f"action {aid}: fractional cost {cost} "
-                "(costs are integral simulated milliseconds)"
-            )
         applicable = rec.get("applicable_to", "*")
         actions.append(
             ActionTemplate(
-                id=aid,
+                id=_field(rec, "id", str, at),
                 kind=_field(rec, "kind", str, at),
                 applicable_to=(
                     "*" if applicable == "*" else _labels(rec, "applicable_to", at)
                 ),
-                cost=int(round(cost)),
+                cost=_whole(rec, "cost", at, 0),
                 outcome_table=_field(rec, "outcome_table", str, at),
                 repeatable=_field(rec, "repeatable", bool, at, False),
             )

@@ -14,11 +14,12 @@ group as the target group's prospective model parent, else the target
 itself for a self-bearing table.  One contraction over the outcome table
 ``entries[c, o, p]`` gives, for every child label at once, how far the
 Bayes-rule posterior over a source's labels moves from its current
-probabilities.  It runs once per distinct (table, source) in a
-valuation; every candidate with that table and source reads the result.
-A candidate's value at a label adds its sources' contractions in
-precedence order, and its value at a node sums the node's labels in label
-order, once per (table, sources), so sharing changes no bit of any value.
+probabilities.  A candidate's value at a label adds its sources'
+contractions in precedence order, and its value at a node sums the node's
+labels in label order.  A valuation computes that node value once per
+distinct (table, sources), from one contraction per source, and every
+candidate with that table and those sources reads it, so sharing changes
+no bit of any value.
 
 Two modes are provided.  OUTCOME_MARGINAL marginalizes the action's outcomes
 before applying Bayes rule, so an action whose outcomes are informative
@@ -83,12 +84,12 @@ def _shift_values(link: np.ndarray, prior: np.ndarray, values: np.ndarray) -> np
 class Valuer:
     """Values candidate actions against one immutable snapshot of the net.
 
-    Label values are computed once per source, contractions once per
-    (outcome table, source), an action's sources once per (target, parent
-    group) and a node value once per (outcome table, sources); candidates
-    share them all.  The beliefs are those of construction, held by
-    reference; the net's structure must not change while a Valuer lives.
-    The valuation mode is fixed at construction.
+    Label values are computed once per source, an action's sources once
+    per (target, parent group), and a node value, from one contraction per
+    source, once per (outcome table, sources); candidates share them all.
+    The beliefs are those of construction, held by reference; the net's
+    structure must not change while a Valuer lives.  The valuation mode is
+    fixed at construction.
 
     A value reads only the model and the beliefs and edges of the target's
     component, so it holds while the target's ``BayesNode.stamp`` does:
@@ -105,8 +106,7 @@ class Valuer:
         self.net = net
         self.mb = model_base
         self.mode = mode
-        self.posterior_evals = 0  # contractions: one per (table, source)
-        self._contractions: dict[tuple[str, Source], np.ndarray] = {}
+        self.posterior_evals = 0  # contractions: one per source of each (table, sources)
         self._sources_of: dict[tuple[str, str], tuple[Source, ...]] = {}
         self._totals: dict[tuple[str, tuple[Source, ...]], float] = {}
         self._values: dict[Source, np.ndarray] = {}
@@ -220,13 +220,6 @@ class Valuer:
         shift = np.cumsum(moved, axis=1)[:, -1]
         return np.where(denom > 0.0, (shift * values).sum(axis=1), np.nan)
 
-    def _contraction(self, table: OutcomeTable, source: Source) -> np.ndarray:
-        """``_context_values`` once per (table, source), then by lookup."""
-        key = (table.id, source)
-        if key not in self._contractions:
-            self._contractions[key] = self._context_values(table, source)
-        return self._contractions[key]
-
     def _label_values(
         self, table: OutcomeTable, sources: tuple[Source, ...]
     ) -> list[float]:
@@ -234,7 +227,7 @@ class Valuer:
         contractions added in precedence order."""
         total = np.zeros(len(table.child_labels))
         for source in sources:
-            total = total + self._contraction(table, source)
+            total = total + self._context_values(table, source)
         return total.tolist()
 
     @staticmethod
@@ -294,8 +287,8 @@ class Valuer:
         return self._totals[key]
 
     def value_all_candidates(self, candidates) -> list[ActionInstance]:
-        """Fill in the value of every candidate; equal (table, sources) pairs
-        share one contraction per source."""
+        """Fill in the value of every candidate; candidates with equal
+        (table, sources) share one node value."""
         for cand in candidates:
             cand.value = self.value_of_action_at_node(cand)
         return list(candidates)

@@ -24,6 +24,7 @@ from .model_base import (
     _field,
     _finite,
     _read,
+    _whole,
 )
 
 VEHICLE_TYPE = "vehicle"
@@ -235,8 +236,8 @@ class World:
         at = "world.cluster_params"
         params = ClusterParams(
             max_intervehicle_distance=float(_field(c, "max_intervehicle_distance", _NUMBER, at, 1.0)),
-            min_count=int(_finite(c, "min_count", at, 1)),
-            max_count=int(_finite(c, "max_count", at, 10**6)),
+            min_count=_whole(c, "min_count", at, 1),
+            max_count=_whole(c, "max_count", at, 10**6),
             max_extent=float(_field(c, "max_extent", _NUMBER, at, 1e9)),
         )
         optional = {}  # only the keys present: World's own defaults cover the rest
@@ -439,12 +440,13 @@ def execute_action(
 ) -> ActionResult:
     """Run one action against ground truth and report its outcome id.
 
-    Outcomes are sampled from the action's outcome table conditioned on
-    the target's true (child, parent) labels; targets without a bound
-    entity draw from the null-parent slice.  TERRAIN-SUPPORT is a
-    deterministic grid lookup.  SEARCH reports ``no_match`` unless the
-    matcher can assemble enough confirmed sibling hypotheses around the
-    true parent, and on a match carries the sibling set for instantiation.
+    TERRAIN-SUPPORT is a deterministic grid lookup.  SEARCH reports an
+    uninformative ``no_match`` unless its target is confirmed and the
+    matcher can assemble ``min_parts`` confirmed siblings around a true
+    parent.  Every other return is one table draw: from the null-parent
+    slice when no entity (for SEARCH, no parent entity) backs the target,
+    else conditioned on the target's true (child, parent) labels.  A match
+    carries the sibling set for instantiation.
 
     ``rng`` makes the generator to sample from.  It is called once, and
     only when an outcome is sampled: a terrain lookup or a search that
@@ -455,61 +457,48 @@ def execute_action(
     if binding is None:
         raise UnknownIdError(f"action {action.id}: target has no world binding")
     entity = world.entity(binding.entity) if binding.entity else None
-    parent_ent = (
-        world.entity(entity.member_of) if entity and entity.member_of else None
-    )
-
-    parent_group = model_base.table_parent_group[table.id]
-    parent_hs = model_base.hypothesis_set(parent_group)
-    if parent_ent is not None and parent_ent.type in table.parent_labels:
-        parent_label = parent_ent.type
-    elif action.kind != "SEARCH" and entity is not None and entity.type in table.parent_labels:
-        # self-bearing tables: the node's own truth sits on the parent axis
-        parent_label = entity.type
-    else:
-        parent_label = parent_hs.null_label
-
     if action.kind == "TERRAIN-SUPPORT":
         outcome = terrain_support(
             (binding.x, binding.y), world.terrain, entity.type if entity else None
         )
         return ActionResult(outcome=outcome)
 
-    if action.kind == "SEARCH":
+    parent_ent = world.entity(entity.member_of) if entity and entity.member_of else None
+    search = action.kind == "SEARCH"
+    siblings = None
+    if search:
         if not _confirmed(net, action.target_node, world.confirm_belief):
             # matcher was never run: the target is not an established
             # hypothesis yet, so this return is not evidence of anything
             return ActionResult(outcome=NO_MATCH_OUTCOME, informative=False)
-        if entity is None or parent_ent is None:
-            # an established hypothesis with nothing real behind it: the
-            # matcher runs and genuinely finds no parent formation
-            outcome = _sample_null_parent(table, parent_hs.null_label, rng())
-            return ActionResult(outcome=outcome)
-        target_group = net.node(action.target_node).group
-        siblings = tuple(
-            nid
-            for nid in sorted(net.nodes)
-            if net.node(nid).group == target_group
-            and bindings.get(nid) is not None
-            and bindings[nid].entity is not None
-            and world.entity(bindings[nid].entity).member_of == parent_ent.id
-            and _confirmed(net, nid, world.confirm_belief)
-        )
-        if len(siblings) < model_base.node(parent_ent.type).min_parts:
-            return ActionResult(outcome=NO_MATCH_OUTCOME, informative=False)
-        outcome = _sample_outcome(table, entity.type, parent_label, rng())
-        if outcome == NO_MATCH_OUTCOME:
-            return ActionResult(outcome=outcome)
-        return ActionResult(
-            outcome=outcome, siblings=siblings, parent_entity=parent_ent.id
-        )
+        if parent_ent is not None:
+            target_group = net.node(action.target_node).group
+            siblings = tuple(
+                nid for nid in sorted(net.nodes)
+                if net.node(nid).group == target_group
+                and nid in bindings
+                and bindings[nid].entity is not None
+                and world.entity(bindings[nid].entity).member_of == parent_ent.id
+                and _confirmed(net, nid, world.confirm_belief)
+            )
+            if len(siblings) < model_base.node(parent_ent.type).min_parts:
+                return ActionResult(outcome=NO_MATCH_OUTCOME, informative=False)
 
-    # REFINE-TYPE, REFINE-FORMATION, CLASSIFICATION: plain table sampling
-    if entity is None:
-        outcome = _sample_null_parent(table, parent_hs.null_label, rng())
+    null_label = model_base.hypothesis_set(model_base.table_parent_group[table.id]).null_label
+    if entity is None or (search and parent_ent is None):
+        # nothing real behind the target: a matcher finds no parent formation
+        outcome = _sample_null_parent(table, null_label, rng())
     else:
+        if parent_ent is not None and parent_ent.type in table.parent_labels:
+            parent_label = parent_ent.type
+        elif not search and entity.type in table.parent_labels:
+            # self-bearing tables: the node's own truth sits on the parent axis
+            parent_label = entity.type
+        else:
+            parent_label = null_label
         outcome = _sample_outcome(table, entity.type, parent_label, rng())
-    return ActionResult(outcome=outcome)
+    matched = siblings is not None and outcome != NO_MATCH_OUTCOME
+    return ActionResult(outcome, siblings if matched else None, parent_ent.id if matched else None)
 
 
 def _sample_outcome(

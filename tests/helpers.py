@@ -323,6 +323,12 @@ BAD_KNAPSACK_INSTANCES = [
         [{"id": "a", "value": "x", "cost": 1}],
         "items[0].value: expected a number, got 'x'",
     ),
+    _bad_instance(
+        "value-true",
+        [{"id": "a", "value": True, "cost": 1}],
+        "items[0].value: expected a number, got True",
+    ),
+    _bad_instance("budget-true", [], "budget_T: expected a number, got True", budget=True),
     _bad_instance("items-5", 5, "items: expected a list, got 5"),
     _bad_instance("budget-list", [], "budget_T: expected a number, got []", budget=[]),
     pytest.param([{"items": []}], "instance: expected an object", id="list"),

@@ -209,6 +209,36 @@ def _w_brigade(raw):
     return next(e for e in raw["world"]["entities"] if e["id"] == "w-brigade")
 
 
+def _fails_alike(tmp_path, capsys, change, message):
+    """The brigade, changed by ``change``, fails ``validate`` and ``run``
+    alike, with the one line ``error: <message>``."""
+    raw = json.loads(BRIGADE.read_text())
+    change(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == err
+
+
+def _one_hot(rows):
+    return [[j == 0 for j in range(len(row))] for row in rows]
+
+
+# the seven whole-number fields: (path, how to set it)
+_WHOLE_FIELDS = {
+    "control.budget_T": lambda r, v: r["control"].update(budget_T=v),
+    "control.processors": lambda r, v: r["control"].update(processors=v),
+    "control.seed": lambda r, v: r["control"].update(seed=v),
+    "models[0].min_parts": lambda r, v: r["models"][0].update(min_parts=v),
+    "world.cluster_params.min_count": lambda r, v: r["world"]["cluster_params"].update(min_count=v),
+    "world.cluster_params.max_count": lambda r, v: r["world"]["cluster_params"].update(max_count=v),
+    "actions[0].cost": lambda r, v: r["actions"][0].update(cost=v),
+}
+
+
 class TestValidate:
     def test_bundled_ok(self, capsys):
         assert main(["validate", "--scenario", str(BRIGADE)]) == 0
@@ -242,15 +272,7 @@ class TestValidate:
              "cells-number", "cells-row-number"],
     )
     def test_world_errors_fail_as_in_run(self, tmp_path, capsys, change, message):
-        raw = json.loads(BRIGADE.read_text())
-        change(raw)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
-        assert main(["validate", "--scenario", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
-        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == err
+        _fails_alike(tmp_path, capsys, change, message)
 
     @pytest.mark.parametrize(
         "change, message",
@@ -272,15 +294,41 @@ class TestValidate:
     def test_nan_and_out_of_range_fields_fail_as_in_run(
         self, tmp_path, capsys, change, message
     ):
-        raw = json.loads(BRIGADE.read_text())
-        change(raw)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
-        assert main(["validate", "--scenario", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
-        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == err
+        _fails_alike(tmp_path, capsys, change, message)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda r: r["control"].update(budget_T=True),
+             "control.budget_T: expected a number, got True"),
+            (lambda r: r["goal_values"].update(brigade=True),
+             "goal_values.brigade: expected a number, got True"),
+            (lambda r: r["world"].update(detect_prob=True),
+             "world.detect_prob: expected a number, got True"),
+            (lambda r: r["actions"][0].update(cost=True),
+             "actions[0].cost: expected a number, got True"),
+            (lambda r: r["world"]["entities"][0].update(x=False),
+             "world.entities[0].x: expected a number, got False"),
+            (lambda r: r["cpts"]["cpt_force"].update(rows=_one_hot(r["cpts"]["cpt_force"]["rows"])),
+             "cpts.cpt_force.rows[0][0]: expected a number, got True"),
+        ],
+        ids=["budget", "goal-value", "detect-prob", "cost", "entity-x", "one-hot-cpt"],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, change, message):
+        _fails_alike(tmp_path, capsys, change, message)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(2.5, "expected a whole number, got 2.5"),
+         (float("inf"), "expected a whole number, got inf"),
+         (float("nan"), "expected a whole number, got nan"),
+         (True, "expected a number, got True")],
+        ids=["fraction", "infinity", "nan", "boolean"],
+    )
+    @pytest.mark.parametrize("field", list(_WHOLE_FIELDS))
+    def test_whole_number_fields(self, tmp_path, capsys, field, value, message):
+        _fails_alike(tmp_path, capsys, lambda r: _WHOLE_FIELDS[field](r, value),
+                     f"{field}: {message}")
 
     @pytest.mark.parametrize(
         "section, record, key",
@@ -336,7 +384,7 @@ class TestValidate:
 _DELETE = object()
 _MUTATIONS = {
     "delete": _DELETE, "null": None, "5": 5, "x": "x", "[]": [], "{}": {},
-    "Infinity": float("inf"), "NaN": float("nan"),
+    "Infinity": float("inf"), "NaN": float("nan"), "true": True,
 }
 
 
@@ -388,7 +436,7 @@ _NUMPY_MESSAGE = re.compile(r"could not convert|inhomogeneous|setting an array e
 )
 def test_every_field_mutation_is_named_or_runs(tmp_path, capsys, section):
     """Each field of the brigade, deleted or set to null, 5, "x", [], {},
-    Infinity or NaN, either fails ``validate`` with one named error line
+    Infinity, NaN or true, either fails ``validate`` with one named error line
     that ``run`` prints too, or passes ``validate`` and runs to exit 0 or 2."""
     text = BRIGADE.read_text()
     paths = [p for p in _field_paths(json.loads(text)) if p[0] == section]

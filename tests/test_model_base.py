@@ -9,6 +9,7 @@ import pytest
 
 from percept.errors import CyclicModelError, ScenarioError, UnknownIdError
 from percept.model_base import build_model_base, load_scenario
+from percept.world import World
 
 BRIGADE = Path(__file__).resolve().parents[1] / "src/percept/scenarios/brigade.json"
 
@@ -155,7 +156,7 @@ class TestValidation:
         }
         raw["actions"] = [{"id": "a", "kind": "SEARCH", "cost": 1.5,
                            "outcome_table": "t"}]
-        with pytest.raises(ScenarioError, match="fractional"):
+        with pytest.raises(ScenarioError, match=r"actions\[0\]\.cost: expected a whole number, got 1\.5"):
             build_model_base(raw)
 
     def test_priors_exceeding_one(self):
@@ -220,6 +221,33 @@ class TestValidation:
         raw["control"].pop("termination_belief")
         mb = build_model_base(raw)
         assert mb.control.termination_belief == pytest.approx(0.99)
+
+
+# each whole-number field of the brigade: (how to set it, how to read it back)
+_WHOLE_FIELDS = {
+    "budget_T": (lambda r, v: r["control"].update(budget_T=v), lambda mb: mb.control.budget_t),
+    "processors": (lambda r, v: r["control"].update(processors=v),
+                   lambda mb: mb.control.processors),
+    "seed": (lambda r, v: r["control"].update(seed=v), lambda mb: mb.control.seed),
+    "min_parts": (lambda r, v: r["models"][0].update(min_parts=v),
+                  lambda mb: mb.nodes["brigade"].min_parts),
+    "min_count": (lambda r, v: r["world"]["cluster_params"].update(min_count=v),
+                  lambda mb: World.from_dict(mb).cluster_params.min_count),
+    "max_count": (lambda r, v: r["world"]["cluster_params"].update(max_count=v),
+                  lambda mb: World.from_dict(mb).cluster_params.max_count),
+    "cost": (lambda r, v: r["actions"][0].update(cost=v), lambda mb: mb.actions[0].cost),
+}
+
+
+@pytest.mark.parametrize("offset", [1e-12, -1e-12])
+@pytest.mark.parametrize("field", list(_WHOLE_FIELDS))
+def test_whole_number_within_tolerance_rounds(field, offset):
+    """A whole-number field within 1e-9 of a whole number loads as it."""
+    change, read = _WHOLE_FIELDS[field]
+    raw = json.loads(BRIGADE.read_text())
+    change(raw, 5 + offset)
+    value = read(build_model_base(raw))
+    assert value == 5 and type(value) is int
 
 
 class TestTemplates:

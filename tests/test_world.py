@@ -1,5 +1,7 @@
 """Ground truth, detection statistics, clustering, and outcome sampling."""
 
+import copy
+import dataclasses
 import json
 from functools import partial
 from pathlib import Path
@@ -7,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import all_pairs_cluster_detections
+from helpers import all_pairs_cluster_detections, tiny_scenario
+from percept import world as world_module
 from percept.controller import Controller
 from percept.errors import ScenarioError
 from percept.model_base import HypothesisSet, build_model_base, load_scenario
 from percept.world import (
+    Binding,
     Cluster,
     ClusterParams,
     Detection,
@@ -409,3 +413,132 @@ def test_membership_cycle_rejected():
                 max_intervehicle_distance=1, min_count=1, max_count=5, max_extent=5
             ),
         )
+
+
+# -- every branch of execute_action, pinned ------------------------------------
+
+def _confirm(ctl, node_ids):
+    """Confirm each node at its bound entity's type, then propagate."""
+    for nid in node_ids:
+        ent = ctl.world.entity(ctl.bindings[nid].entity)
+        lam = [8.0 if lab == ent.type else 0.02 for lab in ctl.net.node(nid).labels]
+        ctl.net.attach_evidence(nid, np.array(lam))
+    ctl.net.propagate()
+
+
+def _brigade(confirm):
+    """An initialized brigade controller and its nodes by bound entity, with
+    the nodes bound to the entities in ``confirm`` (all, if None) confirmed."""
+    ctl = Controller(load_scenario(BRIGADE))
+    ctl.initialize()
+    node_of = {b.entity: n for n, b in ctl.bindings.items()}
+    _confirm(ctl, [node_of[e] for e in (node_of if confirm is None else confirm)])
+    return ctl, node_of
+
+
+@pytest.fixture(scope="module")
+def branch_contexts():
+    tiny = Controller(build_model_base(tiny_scenario(units=1)))
+    tiny.initialize()
+    return {
+        "unconfirmed": _brigade([]),
+        "team-a": _brigade(["w-team-a"]),
+        "confirmed": _brigade(None),
+        "tiny": (tiny, {b.entity: n for n, b in tiny.bindings.items()}),
+    }
+
+
+def _unbound(ctl, node):
+    """The controller's bindings with ``node`` bound to no entity."""
+    b = ctl.bindings[node]
+    return {**ctl.bindings, node: Binding(entity=None, x=b.x, y=b.y)}
+
+
+def _orphaned(ctl, entity_id):
+    """A copy of the controller's world where ``entity_id`` belongs to nothing."""
+    world = copy.copy(ctl.world)
+    ent = world.entities[entity_id]
+    world.entities = {**world.entities, entity_id: dataclasses.replace(ent, member_of=None)}
+    return world
+
+
+# id: (context, template, target entity, how the world or bindings change,
+#      outcome the stubbed samplers return, expected draw, informative,
+#      whether siblings and parent come back, generators built)
+_BRANCHES = {
+    "terrain-bound": ("confirmed", "terrain-unit", "w-team-a", None, None,
+                      None, True, False, 0),
+    "terrain-unbound": ("confirmed", "terrain-unit", "w-team-a", "unbind", None,
+                        None, True, False, 0),
+    "search-unconfirmed": ("unconfirmed", "search-unit", "w-team-a", None, None,
+                           None, False, False, 0),
+    "search-unbound": ("confirmed", "search-unit", "w-team-a", "unbind", "match",
+                       ("null", "other"), True, False, 1),
+    "search-no-parent-entity": ("confirmed", "search-unit", "w-team-a", "orphan", "match",
+                                ("null", "other"), True, False, 1),
+    "search-too-few-siblings": ("team-a", "search-unit", "w-team-a", None, "match",
+                                None, False, False, 0),
+    "search-match": ("confirmed", "search-unit", "w-team-a", None, "match",
+                     ("table", "team", "task-force"), True, True, 1),
+    "search-draws-no-match": ("confirmed", "search-unit", "w-team-a", None, "no_match",
+                              ("table", "team", "task-force"), True, False, 1),
+    "plain-unbound": ("unconfirmed", "classify", "w-team-a", "unbind", "class-team",
+                      ("null", "other"), True, False, 1),
+    "plain-bound": ("unconfirmed", "classify", "w-team-a", None, "class-team",
+                    ("table", "team", "task-force"), True, False, 1),
+    "plain-no-parent-entity": ("unconfirmed", "refine-type", "w-team-a", "orphan",
+                               "looks-team", ("table", "team", "other"), True, False, 1),
+    "self-bearing": ("tiny", "probe-action", "w0", None, "is-thing",
+                     ("table", "thing", "thing"), True, False, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_BRANCHES))
+def test_execute_action_branches(branch_contexts, monkeypatch, case):
+    """Which sampler each kind of target reaches, with which labels; whether
+    the return is evidence; when it carries the matched siblings; and how
+    many generators it builds."""
+    (context, template, entity, change, stub_outcome, draw, informative,
+     matched, generators) = _BRANCHES[case]
+    ctl, node_of = branch_contexts[context]
+    node = node_of[entity]
+    action = next(c for c in ctl.enumerate_candidates() if c.id == f"{node}:{template}")
+    world, bindings = ctl.world, ctl.bindings
+    if change == "unbind":
+        bindings = _unbound(ctl, node)
+    elif change == "orphan":
+        world = _orphaned(ctl, entity)
+    draws = []
+
+    def sample_outcome(table, child, parent, rng):
+        draws.append(("table", child, parent))
+        return stub_outcome
+
+    def sample_null_parent(table, null, rng):
+        draws.append(("null", null))
+        return stub_outcome
+
+    monkeypatch.setattr(world_module, "_sample_outcome", sample_outcome)
+    monkeypatch.setattr(world_module, "_sample_null_parent", sample_null_parent)
+    made = []
+
+    def factory():
+        made.append(1)
+        return np.random.default_rng(0)
+
+    res = world_module.execute_action(action, world, ctl.net, factory, bindings, ctl.mb)
+    assert draws == ([draw] if draw else [])
+    assert len(made) == generators
+    assert res.informative is informative
+    if template.startswith("terrain"):
+        b = bindings[node]
+        force = world.entity(b.entity).type if b.entity else None
+        assert res.outcome == terrain_support((b.x, b.y), world.terrain, force)
+    else:
+        assert res.outcome == (stub_outcome if draw else "no_match")
+    if matched:
+        team = ("w-team-a", "w-team-b", "w-hq")
+        assert res.siblings == tuple(sorted(node_of[e] for e in team))
+        assert res.parent_entity == "w-tf"
+    else:
+        assert (res.siblings, res.parent_entity) == (None, None)

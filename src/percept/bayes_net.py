@@ -18,10 +18,23 @@ of small likelihoods.  Each recomputed node gets a new ``stamp``; every
 node of a component keeps its stamp while the component's nodes, edges
 and evidence are untouched, so equal stamps mean equal beliefs and edges
 throughout the component.
+
+Messages are kept across :meth:`BayesNet.propagate` calls, keyed
+(sender, receiver), and so is each component's sweep schedule until the
+component gains a node or an edge (a node's first evidence adds its
+factor to the schedule in place).  On a tree a message depends only on
+its sender's side, so a kept message is recomputed only when that side
+holds a node touched since the last call: a new node, either end of a
+new edge, or new evidence.  New evidence at r thus recomputes the
+messages directed away from r and r's own evidence message, and no
+message directed toward r.  Every message is the same expression of the
+same inputs however it was scheduled, so beliefs are bit for bit those
+of one propagate over a fresh net.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -62,6 +75,19 @@ class NetEdge:
     child: str
 
 
+@dataclass(eq=False, slots=True)
+class _Schedule:
+    """One component's sweep, compiled by BFS from a touched node; kept until
+    the component gains a node or an edge."""
+
+    order: list[str]  # BFS order from the root
+    up: dict[str, tuple[str, str] | None]  # factor each node was reached through
+    below: dict[str, list[tuple[tuple[str, str], list[str]]]]  # factor, nodes beyond
+    factors: dict[str, list[tuple[str, str]]]  # node -> factors over it, in rank order
+    scope: dict[tuple[str, str], tuple[tuple[str, ...], np.ndarray]]  # cpt -> vars, table
+    stale: bool = False
+
+
 class BayesNet:
     """Single-writer net; mutate through one owner, query beliefs freely."""
 
@@ -72,6 +98,8 @@ class BayesNet:
         self._edges: list[NetEdge] = []
         self._cpts: dict[str, np.ndarray] = {}  # p(node | all its parents), set by link
         self._dirty: set[str] = set()  # nodes touched since the last propagate
+        self._messages: dict[tuple, np.ndarray] = {}  # (sender, receiver) -> message
+        self._schedules: dict[str, _Schedule] = {}  # node -> its component's schedule
         self._generation = 0  # propagate calls that recomputed anything
 
     # -- structure -------------------------------------------------------
@@ -148,7 +176,11 @@ class BayesNet:
         self._children[parent].append(child)
         edge = NetEdge(parent=parent, child=child)
         self._edges.append(edge)
-        self._dirty.add(child)
+        self._dirty.update((parent, child))
+        for n in (parent, child):
+            sched = self._schedules.get(n)
+            if sched is not None:
+                sched.stale = True
         return edge
 
     def _undirected_path(self, a: str, b: str) -> list[str] | None:
@@ -195,10 +227,19 @@ class BayesNet:
             raise InconsistentEvidenceError(
                 f"all-zero likelihood on {node_id!r} contradicts every hypothesis"
             )
-        ev = vec if node.evidence is None else node.evidence * vec
+        if node.evidence is None:
+            sched = self._schedules.get(node_id)
+            if sched is not None and not sched.stale:  # a new leaf factor
+                f = ("ev", node_id)
+                bisect.insort(sched.factors[node_id], f, key=self._rank_order)
+                sched.below[node_id].append((f, []))
+            ev = vec
+        else:
+            ev = node.evidence * vec
         # rescale by a power of two so a long product cannot underflow to 0;
         # the evidence message ev / ev.sum() is unchanged bit for bit
         node.evidence = np.ldexp(ev, -math.frexp(max(ev.tolist()))[1])
+        self._messages.pop((("ev", node_id), node_id), None)
         self._dirty.add(node_id)
 
     def _combined_cpt(
@@ -242,34 +283,72 @@ class BayesNet:
         fs = [("cpt", n), *(("cpt", c) for c in self._children[n])]
         if self.nodes[n].evidence is not None:
             fs.append(("ev", n))
-        return sorted(fs, key=lambda f: (self.nodes[f[1]].rank, f[0]))
+        return sorted(fs, key=self._rank_order)
+
+    def _rank_order(self, f: tuple[str, str]) -> tuple[int, str]:
+        return self.nodes[f[1]].rank, f[0]
+
+    def _schedule(self, root: str) -> _Schedule:
+        """The component's kept schedule, compiled from ``root`` by BFS if its
+        structure changed since it was last compiled."""
+        sched = self._schedules.get(root)
+        if sched is not None and not sched.stale:
+            return sched
+        # each node records the factor it was reached through (up) and the
+        # factors below it, each with the nodes it leads on to
+        order, up, below, factors, scope = [root], {root: None}, {}, {}, {}
+        for v in order:
+            fs = factors[v] = self._node_factors(v)
+            below[v] = []
+            for f in fs:
+                if f == up[v]:
+                    continue
+                vs, table = self._factor(f)
+                if f[0] == "cpt":  # evidence changes without a structure change
+                    scope[f] = vs, table
+                rest = [u for u in vs if u != v]
+                below[v].append((f, rest))
+                for u in rest:
+                    up[u] = f
+                    order.append(u)
+        sched = _Schedule(order, up, below, factors, scope)
+        self._schedules.update(dict.fromkeys(order, sched))
+        return sched
 
     def propagate(self) -> None:
         """Recompute the exact posterior marginals of every component that
         gained a node, edge or evidence since the last call, and stamp its
         nodes with this call's generation; other beliefs and stamps are left
-        as they are (on a tree each message depends only on its own subtree,
-        so they would come out bit for bit the same)."""
+        as they are.
+
+        Messages are kept across calls.  On a tree a message depends only on
+        its sender's side, so one is recomputed only if it was never
+        computed or its sender side holds a node touched since the last
+        call; the others would come out bit for bit the same.  A call that
+        raises ``InconsistentEvidenceError`` leaves every belief, stamp and
+        kept message as it was.
+        """
         if not self._dirty:
             return
-        self._generation += 1
-        factors: dict[str, list[tuple[str, str]]] = {}  # node -> factors over it
-        messages: dict[tuple, np.ndarray] = {}  # (sender, receiver) -> message
+        messages = self._messages
+        replaced: dict[tuple, np.ndarray | None] = {}  # key -> kept message before
 
-        def var_to_factor(v, f):
-            out = np.ones(len(self.nodes[v].labels))
-            for g in factors[v]:
-                if g != f:
-                    out = out * messages[g, v]
+        def send(key, out, what):
             s = out.sum()
             if s <= 0:
-                raise InconsistentEvidenceError(
-                    f"evidence on {v!r} has zero total probability"
-                )
-            return out / s
+                raise InconsistentEvidenceError(f"{what} has zero total probability")
+            replaced[key] = messages.get(key)
+            messages[key] = out / s
 
-        def factor_to_var(f, v):
-            vs, a = self._factor(f)
+        def var_to_factor(sched, v, f):
+            out = np.ones(len(self.nodes[v].labels))
+            for g in sched.factors[v]:
+                if g != f:
+                    out = out * messages[g, v]
+            send((v, f), out, f"evidence on {v!r}")
+
+        def factor_to_var(sched, f, v):
+            vs, a = sched.scope.get(f) or self._factor(f)
             for ax, u in enumerate(vs):
                 if u == v:
                     continue
@@ -280,58 +359,62 @@ class BayesNet:
             target_ax = vs.index(v)
             other_axes = tuple(ax for ax in range(a.ndim) if ax != target_ax)
             out = a.sum(axis=other_axes) if other_axes else np.array(a, copy=True)
-            s = out.sum()
-            if s <= 0:
-                raise InconsistentEvidenceError(
-                    f"evidence reaching {v!r} has zero total probability"
-                )
-            return out / s
+            send((f, v), out, f"evidence reaching {v!r}")
 
-        for root in sorted(self._dirty):
-            if root in factors:
-                continue
-            # BFS over the component: each node records the factor it was
-            # reached through (up) and the factors below it, each with the
-            # nodes it leads on to
-            order, up, below = [root], {root: None}, {}
-            for v in order:
-                factors[v] = self._node_factors(v)
-                below[v] = [
-                    (f, [u for u in self._factor(f)[0] if u != v])
-                    for f in factors[v]
-                    if f != up[v]
-                ]
-                for f, rest in below[v]:
-                    for u in rest:
-                        up[u] = f
-                        order.append(u)
-            # upward sweep: leaves toward the root
-            for v in reversed(order):
-                for f, _ in below[v]:
-                    messages[f, v] = factor_to_var(f, v)
-                if up[v] is not None:
-                    messages[v, up[v]] = var_to_factor(v, up[v])
-            # downward sweep: root toward the leaves; a one-variable factor
-            # (prior or evidence) leads nowhere and gets no message, as no
-            # belief reads it
-            for v in order:
-                for f, rest in below[v]:
-                    if rest:
-                        messages[v, f] = var_to_factor(v, f)
-                    for u in rest:
-                        messages[f, u] = factor_to_var(f, u)
-
-        for v, fs in factors.items():
-            out = np.ones(len(self.nodes[v].labels))
-            for f in fs:
-                out = out * messages[f, v]
-            s = out.sum()
-            if s <= 0:
-                raise InconsistentEvidenceError(
-                    f"posterior for {v!r} has zero total probability"
-                )
-            node = self.nodes[v]
-            node.belief = out / s
+        beliefs = []
+        done = set()
+        try:
+            for root in sorted(self._dirty):
+                sched = self._schedule(root)
+                if sched in done:
+                    continue
+                done.add(sched)
+                order, up, below = sched.order, sched.up, sched.below
+                # upward sweep, leaves toward the root; touched[x] counts the
+                # touched nodes on x's side of the message x sends upward
+                touched = {}
+                for v in reversed(order):
+                    t = v in self._dirty
+                    for f, rest in below[v]:
+                        tf = touched[f] = sum(touched[u] for u in rest)
+                        if tf or (f, v) not in messages:
+                            factor_to_var(sched, f, v)
+                        t += tf
+                    touched[v] = t
+                    if up[v] is not None and (t or (v, up[v]) not in messages):
+                        var_to_factor(sched, v, up[v])
+                # downward sweep, root toward the leaves: a message is stale
+                # if a touched node lies outside its receiver's side; a
+                # one-variable factor (prior or evidence) leads nowhere and
+                # gets no message, as no belief reads it
+                total = touched[order[0]]
+                for v in order:
+                    for f, rest in below[v]:
+                        if rest and (total > touched[f] or (v, f) not in messages):
+                            var_to_factor(sched, v, f)
+                        for u in rest:
+                            if total > touched[u] or (f, u) not in messages:
+                                factor_to_var(sched, f, u)
+                for v in order:
+                    out = np.ones(len(self.nodes[v].labels))
+                    for f in sched.factors[v]:
+                        out = out * messages[f, v]
+                    s = out.sum()
+                    if s <= 0:
+                        raise InconsistentEvidenceError(
+                            f"posterior for {v!r} has zero total probability"
+                        )
+                    beliefs.append((self.nodes[v], out / s))
+        except InconsistentEvidenceError:
+            for key, old in replaced.items():
+                if old is None:
+                    del messages[key]
+                else:
+                    messages[key] = old
+            raise
+        self._generation += 1
+        for node, belief in beliefs:
+            node.belief = belief
             node.stamp = self._generation
         self._dirty.clear()
 

@@ -115,7 +115,8 @@ def _candidate_entry(action: ActionInstance, value: float) -> dict:
 def check_termination(net: BayesNet, config: ControlConfig, goal_nodes) -> bool:
     """True once any goal node's maximum belief reaches the threshold."""
     return any(
-        float(net.belief(nid).max()) >= config.termination_belief for nid in goal_nodes
+        float(net.nodes[nid].belief.max()) >= config.termination_belief
+        for nid in goal_nodes
     )
 
 
@@ -152,6 +153,7 @@ class Controller:
         self.goal_nodes: list[str] = []
         self._carried: dict[tuple[str, str], _Carried] = {}
         self._last_plan: tuple[KnapsackInstance, Plan] | None = None
+        self._likelihoods: dict[tuple[str, str], np.ndarray] = {}  # (table, outcome)
 
     # -- setup -------------------------------------------------------------
 
@@ -216,16 +218,21 @@ class Controller:
         result normalized per child label, i.e. lambda(x) = p(outcome | x)
         under a priori parent mixing.  Static priors keep the conversion
         independent of arrival order, so end-of-step beliefs cannot depend
-        on completion scheduling.
+        on completion scheduling.  It reads only the model, so each
+        (table, outcome) is computed once per run.
         """
-        oi = table.outcome_index(outcome)
-        group = self.mb.table_parent_group[table.id]
-        priors = np.array(self.mb.hypothesis_set(group).priors)
-        joint = table.entries @ priors  # (child, outcome)
-        totals = joint.sum(axis=1)
-        lam = np.divide(
-            joint[:, oi], totals, out=np.zeros(len(table.child_labels)), where=totals > 0
-        )
+        key = (table.id, outcome)
+        lam = self._likelihoods.get(key)
+        if lam is None:
+            oi = table.outcome_index(outcome)
+            group = self.mb.table_parent_group[table.id]
+            priors = np.array(self.mb.hypothesis_set(group).priors)
+            joint = table.entries @ priors  # (child, outcome)
+            totals = joint.sum(axis=1)
+            lam = self._likelihoods[key] = np.divide(
+                joint[:, oi], totals, out=np.zeros(len(table.child_labels)), where=totals > 0
+            )
+            lam.flags.writeable = False  # shared by every completion of the run
         return lam
 
     def _adopt(self, parent_id: str, child_id: str, cpt) -> None:

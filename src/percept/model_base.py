@@ -14,6 +14,7 @@ share between workers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -252,6 +253,12 @@ class OutcomeTable:
                 f"{NO_MATCH_OUTCOME!r} outcome"
             )
 
+    @functools.cached_property
+    def marginal(self) -> np.ndarray:
+        """``marginal[c, p]`` = p(child label c | parent label p): ``entries``
+        with the outcomes summed out, computed on first use."""
+        return self.entries.sum(axis=1)
+
     def outcome_index(self, outcome: str) -> int:
         try:
             return self.outcomes.index(outcome)
@@ -314,6 +321,8 @@ class ControlConfig:
     def __post_init__(self):
         if self.budget_t < 0:
             raise ScenarioError(f"control: negative budget_T {self.budget_t}")
+        if self.seed < 0:
+            raise ScenarioError(f"control: negative seed {self.seed}")
         if not (0.0 < self.epsilon < 1.0):
             raise ScenarioError(f"control: epsilon {self.epsilon} outside (0, 1)")
         if self.processors < 1:

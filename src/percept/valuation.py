@@ -70,8 +70,9 @@ def _bayes(link: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     probability; a row with zero total is NaN."""
     joint = link * prior  # (child, parent)
     denom = joint.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return joint / denom[:, None], denom
+    post = np.divide(joint, denom[:, None], out=np.full(joint.shape, np.nan),
+                     where=denom[:, None] > 0.0)
+    return post, denom
 
 
 def _shift_values(link: np.ndarray, prior: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -150,7 +151,7 @@ class Valuer:
                 shift = _shift_values(
                     cpt.rows.T, self._distribution(parent)[1], self._value(parent)
                 )
-                vec += np.nan_to_num(shift, nan=0.0)
+                vec += np.where(np.isnan(shift), 0.0, shift)
         elif kind == "node" and group is not None:
             vec = self._value(("group", group))
         else:
@@ -207,7 +208,7 @@ class Valuer:
         _, prior = self._distribution(source)
         values = self._value(source)
         if self.mode is ValueMode.OUTCOME_MARGINAL:
-            return _shift_values(table.entries.sum(axis=1), prior, values)
+            return _shift_values(table.marginal, prior, values)
         joint = table.entries * prior  # (child, outcome, parent)
         denom = joint.reshape(len(joint), -1).sum(axis=1)  # (outcome, parent) flat
         mass = joint.sum(axis=2)  # (child, outcome)
@@ -249,7 +250,7 @@ class Valuer:
             if parent_label in labels:
                 self.posterior_evals += 1
                 ci = table.child_labels.index(child_label)
-                post, denom = _bayes(table.entries.sum(axis=1), prior)
+                post, denom = _bayes(table.marginal, prior)
                 if denom[ci] <= 0.0:
                     raise UnsupportedConfigurationError(
                         f"action {action.id}: zero probability for label {child_label!r}"

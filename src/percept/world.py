@@ -67,6 +67,8 @@ class ClusterParams:
         # detections into grid cells, and a NaN extent would bind nothing
         if not self.max_intervehicle_distance > 0 or not self.max_extent > 0:
             raise ScenarioError("cluster distances must be > 0")
+        if self.min_count < 0:
+            raise ScenarioError(f"cluster min_count {self.min_count} is negative")
         if self.min_count > self.max_count:
             raise ScenarioError(
                 f"cluster min_count {self.min_count} > max_count {self.max_count}"

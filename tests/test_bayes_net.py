@@ -281,27 +281,120 @@ def test_skipped_propagates_match_one_propagate(seed):
         ops.append(("node", nid, prior))
         ops.extend(tail[i] for i in rng.permutation(len(tail)))
 
-    def apply(net, op):
-        kind, a, b, *rest = op
-        if kind == "node":
-            labels = tuple(f"{a}_{i}" for i in range(len(b)))
-            net.instantiate_node(HypothesisSet(labels=labels, priors=np.array(b)), node_id=a)
-        elif kind == "link":
-            net.link(a, b, table(net.node(a).labels, net.node(b).labels, rest[0]))
-        else:
-            net.attach_evidence(a, np.array(b))
+    _assert_stepped_matches_once(ops, lambda i: rng.random() < 0.5 or i == len(ops) - 1)
 
+
+def _apply(net, op):
+    kind, a, b, *rest = op
+    if kind == "node":
+        labels = tuple(f"{a}_{i}" for i in range(len(b)))
+        net.instantiate_node(HypothesisSet(labels=labels, priors=np.array(b)), node_id=a)
+    elif kind == "link":
+        net.link(a, b, table(net.node(a).labels, net.node(b).labels, rest[0]))
+    else:
+        net.attach_evidence(a, np.array(b))
+
+
+def _assert_stepped_matches_once(ops, propagate_after):
+    """Apply ``ops`` to one net, propagating after op i when
+    ``propagate_after(i)``; each time, every belief equals that of a fresh
+    net given ops[: i + 1] and propagated once, bit for bit."""
     stepped = BayesNet()
     for i, op in enumerate(ops):
-        apply(stepped, op)
-        if rng.random() < 0.5 or i == len(ops) - 1:
+        _apply(stepped, op)
+        if propagate_after(i):
             stepped.propagate()
             once = BayesNet()
             for done in ops[: i + 1]:
-                apply(once, done)
+                _apply(once, done)
             once.propagate()
             for nid in once.nodes:
                 assert np.array_equal(stepped.belief(nid), once.belief(nid)), nid
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_kept_messages_match_a_fresh_net(seed):
+    """Propagating after every op, with links in random order (so a link
+    joins two propagated components) and evidence landing two or three
+    times on each node of propagated components, gives a fresh net's
+    beliefs bit for bit."""
+    rng = np.random.default_rng(seed)
+    spec = random_polytree(rng, max_nodes=7)
+    ops = [("node", nid, prior) for nid, (_, prior) in spec.nodes.items()]
+    rest = [("link", *edge) for edge in spec.edges] + [
+        ("evidence", nid, rng.uniform(0.05, 1.0, size=card))
+        for nid, (card, _) in spec.nodes.items()
+        for _ in range(int(rng.integers(2, 4)))
+    ]
+    ops.extend(rest[i] for i in rng.permutation(len(rest)))
+    _assert_stepped_matches_once(ops, lambda i: True)
+
+
+def test_failed_propagate_changes_nothing():
+    """A propagate that raises leaves every belief, stamp and kept message
+    as it was, even of a component it recomputed before the failing one."""
+    rows = [[0.9, 0.1], [0.2, 0.8]]
+    net = BayesNet()
+    for nid in "abcd":
+        net.instantiate_node(hs(0.5, 0.5, labels=(f"{nid}0", f"{nid}1")), node_id=nid)
+    for parent, child in (("a", "b"), ("c", "d")):
+        net.link(parent, child, table(net.node(parent).labels, net.node(child).labels, rows))
+        net.attach_evidence(child, [0.7, 0.4])
+    net.propagate()
+    net.attach_evidence("b", [0.3, 0.6])  # a - b comes first, and is consistent
+    net.attach_evidence("d", [1.0, 0.0])
+    net.attach_evidence("d", [0.0, 1.0])
+    beliefs = {nid: n.belief for nid, n in net.nodes.items()}
+    stamps = {nid: n.stamp for nid, n in net.nodes.items()}
+    messages = dict(net._messages)
+    with pytest.raises(InconsistentEvidenceError):
+        net.propagate()
+    assert {nid: n.belief for nid, n in net.nodes.items()} == beliefs
+    assert {nid: n.stamp for nid, n in net.nodes.items()} == stamps
+    assert net._messages.keys() == messages.keys()
+    assert all(net._messages[k] is m for k, m in messages.items())
+    with pytest.raises(InconsistentEvidenceError):  # still inconsistent
+        net.propagate()
+
+
+@pytest.mark.parametrize("first_evidence", [False, True], ids=["again", "first"])
+@pytest.mark.parametrize("r", [0, 7, 14])
+def test_evidence_recomputes_no_message_toward_its_node(r, first_evidence):
+    """On a propagated 15-node chain, new evidence at node r recomputes every
+    message directed away from r and, toward r, only its own evidence
+    message; another component keeps every message."""
+    rows = [[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.05, 0.25, 0.7]]
+    labels = ("x0", "x1", "x2")
+    net = BayesNet()
+    ids = [net.instantiate_node(hs(0.5, 0.3, 0.2, labels=labels)) for _ in range(15)]
+    other = [net.instantiate_node(hs(0.5, 0.3, 0.2, labels=labels)) for _ in range(3)]
+    for chain in (ids, other):
+        for parent, child in zip(chain, chain[1:]):
+            net.link(parent, child, table(labels, labels, rows))
+    for i, nid in enumerate(ids + other):
+        if not (first_evidence and i == r):
+            net.attach_evidence(nid, [0.6, 0.3, 0.4])
+    net.propagate()
+    before = dict(net._messages)
+    net.attach_evidence(ids[r], [0.2, 0.5, 0.9])
+    net.propagate()
+    recomputed = {k for k, m in net._messages.items() if before.get(k) is not m}
+
+    # positions along the chain: x_i at 2i, the table into x_i at 2i - 1;
+    # a prior or evidence factor is a leaf, so its message points toward r
+    pos = {nid: 2 * i for i, nid in enumerate(ids)}
+    pos.update({("cpt", nid): 2 * i - 1 for i, nid in enumerate(ids) if i})
+
+    def toward_r(sender, receiver):
+        if sender not in pos:
+            return True
+        return abs(pos[receiver] - 2 * r) < abs(pos[sender] - 2 * r)
+
+    chain_keys = {k for k in net._messages if k[1] in pos}
+    away = {k for k in chain_keys if not toward_r(*k)}
+    assert recomputed == away | {(("ev", ids[r]), ids[r])}
+    assert len(away) == 2 * 14  # one message per direction of each factor-node hop
 
 
 def test_propagate_leaves_unchanged_components_alone():

@@ -318,6 +318,20 @@ class TestValidate:
         _fails_alike(tmp_path, capsys, change, message)
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda r: r["control"].update(seed=-1), "control: negative seed -1"),
+            (lambda r: r["world"]["cluster_params"].update(min_count=-5, max_count=-1),
+             "cluster min_count -5 is negative"),
+            (lambda r: r["world"]["cluster_params"].update(min_count=-5),
+             "cluster min_count -5 is negative"),
+        ],
+        ids=["seed", "both-counts", "min-count"],
+    )
+    def test_negative_seed_and_counts(self, tmp_path, capsys, change, message):
+        _fails_alike(tmp_path, capsys, change, message)
+
+    @pytest.mark.parametrize(
         "value, message",
         [(2.5, "expected a whole number, got 2.5"),
          (float("inf"), "expected a whole number, got inf"),
@@ -384,7 +398,7 @@ class TestValidate:
 _DELETE = object()
 _MUTATIONS = {
     "delete": _DELETE, "null": None, "5": 5, "x": "x", "[]": [], "{}": {},
-    "Infinity": float("inf"), "NaN": float("nan"), "true": True,
+    "Infinity": float("inf"), "NaN": float("nan"), "true": True, "-1": -1,
 }
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +94,13 @@ class BayesNet:
 
     def __init__(self):
         self.nodes: dict[str, BayesNode] = {}
-        self._parents: dict[str, list[tuple[str, ConditionalTable]]] = {}
+        self._parents: dict[str, tuple[tuple[str, ConditionalTable], ...]] = {}
         self._children: dict[str, list[str]] = {}
         self._edges: list[NetEdge] = []
+        self._edge_entries: list[dict] = []  # each edge's snapshot entry, made by link
+        self._node_entries: dict[str, tuple[bytes, dict]] = {}  # belief bits, entry
+        self._snapshot: dict = {"nodes": [], "edges": []}  # the last snapshot() returned
+        self._checked_likelihoods: set[bytes] = set()  # read-only ones, by value
         self._cpts: dict[str, np.ndarray] = {}  # p(node | all its parents), set by link
         self._dirty: set[str] = set()  # nodes touched since the last propagate
         self._messages: dict[tuple, np.ndarray] = {}  # (sender, receiver) -> message
@@ -127,7 +132,7 @@ class BayesNet:
             prior=prior,
             belief=prior.copy(),
         )
-        self._parents[node_id] = []
+        self._parents[node_id] = ()
         self._children[node_id] = []
         self._dirty.add(node_id)
         return node_id
@@ -140,7 +145,7 @@ class BayesNet:
 
     def parents(self, node_id: str) -> tuple[tuple[str, ConditionalTable], ...]:
         self.node(node_id)
-        return tuple(self._parents[node_id])
+        return self._parents[node_id]
 
     def edges(self) -> tuple[NetEdge, ...]:
         return tuple(self._edges)
@@ -169,13 +174,14 @@ class BayesNet:
                 f"linking {parent!r} -> {child!r} would create a second undirected "
                 f"path; existing path: {' - '.join(witness)}"
             )
-        parents = self._parents[child] + [(parent, table)]
+        parents = (*self._parents[child], (parent, table))
         # fails fast on a zero-probability parent slice, leaving the net as it was
         self._cpts[child] = self._combined_cpt(child, parents)
         self._parents[child] = parents
         self._children[parent].append(child)
         edge = NetEdge(parent=parent, child=child)
         self._edges.append(edge)
+        self._edge_entries.append({"parent": parent, "child": child})
         self._dirty.update((parent, child))
         for n in (parent, child):
             sched = self._schedules.get(n)
@@ -212,7 +218,9 @@ class BayesNet:
     def attach_evidence(self, node_id: str, likelihood) -> None:
         """Record a likelihood vector over the node's labels.
 
-        Beliefs are refreshed on the next :meth:`propagate`.
+        Beliefs are refreshed on the next :meth:`propagate`.  A read-only
+        vector, such as one a caller caches and attaches on every match, has
+        its values checked once per net.
         """
         node = self.node(node_id)
         vec = np.asarray(likelihood, dtype=float)
@@ -221,12 +229,16 @@ class BayesNet:
                 f"likelihood length {vec.shape} does not match node {node_id!r} "
                 f"with {len(node.labels)} labels"
             )
-        if not np.all(np.isfinite(vec)) or np.any(vec < 0):
-            raise ValueError(f"likelihood for {node_id!r} must be finite and >= 0")
-        if not np.any(vec > 0):
-            raise InconsistentEvidenceError(
-                f"all-zero likelihood on {node_id!r} contradicts every hypothesis"
-            )
+        bits = None if vec.flags.writeable else vec.tobytes()
+        if bits not in self._checked_likelihoods:
+            if not np.all(np.isfinite(vec)) or np.any(vec < 0):
+                raise ValueError(f"likelihood for {node_id!r} must be finite and >= 0")
+            if not np.any(vec > 0):
+                raise InconsistentEvidenceError(
+                    f"all-zero likelihood on {node_id!r} contradicts every hypothesis"
+                )
+            if bits is not None:
+                self._checked_likelihoods.add(bits)
         if node.evidence is None:
             sched = self._schedules.get(node_id)
             if sched is not None and not sched.stale:  # a new leaf factor
@@ -243,7 +255,7 @@ class BayesNet:
         self._dirty.add(node_id)
 
     def _combined_cpt(
-        self, node_id: str, ps: list[tuple[str, ConditionalTable]]
+        self, node_id: str, ps: tuple[tuple[str, ConditionalTable], ...]
     ) -> np.ndarray:
         """p(node | all parents p1..pn) as array of shape (card, |p1|, .., |pn|).
 
@@ -423,15 +435,26 @@ class BayesNet:
         return self.node(node_id).belief.copy()
 
     def snapshot(self) -> dict:
-        """JSON-ready export of node beliefs and edges for trace tooling."""
-        return {
-            "nodes": [
-                {
-                    "id": nid,
-                    "labels": list(node.labels),
-                    "belief": node.belief.tolist(),
-                }
-                for nid, node in self.nodes.items()
-            ],
-            "edges": [{"parent": e.parent, "child": e.child} for e in self._edges],
-        }
+        """JSON-ready export of node beliefs and edges for trace tooling.
+
+        The export is read-only, and its pieces are shared between calls: a
+        node's entry is the same dict while its belief is bit for bit the
+        same, each edge entry is made once, by :meth:`link`, and a call with
+        no belief, node or edge changed since the last call returns the last
+        export itself.
+        """
+        nodes = []
+        for nid, node in self.nodes.items():
+            bits = node.belief.tobytes()
+            kept = self._node_entries.get(nid)
+            if kept is None or kept[0] != bits:
+                labels = list(node.labels) if kept is None else kept[1]["labels"]
+                entry = {"id": nid, "labels": labels, "belief": node.belief.tolist()}
+                kept = self._node_entries[nid] = bits, entry
+            nodes.append(kept[1])
+        last = self._snapshot
+        if len(last["edges"]) != len(self._edges) or not (
+            len(last["nodes"]) == len(nodes) and all(map(operator.is_, nodes, last["nodes"]))
+        ):
+            self._snapshot = {"nodes": nodes, "edges": list(self._edge_entries)}
+        return self._snapshot

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import marshal
 import os
 import sys
 from pathlib import Path
@@ -29,8 +28,11 @@ def trace_rows(report: dict, level: int = 1) -> list[tuple]:
     Level 2 adds the unselected candidates with an empty outcome column.
     """
     rows = []
+    candidates = None
     for step in report["steps"]:
-        by_id = {c["id"]: c for c in step["candidates"]}
+        if step["candidates"] is not candidates:  # steps may share one list
+            candidates = step["candidates"]
+            by_id = {c["id"]: c for c in candidates}
         selected = step["plan"]["selected"]
         outcome_of = {cid: (out, fin) for cid, out, fin in step["completions"]}
         listed = [
@@ -63,15 +65,38 @@ def write_trace(path: Path, report: dict, level: int = 1) -> None:
 
 def write_report(path: Path, report: dict) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True)`` and a newline,
-    byte for byte, as a stream (see ``_IndentedJson``)."""
+    byte for byte, as a stream (see ``_IndentedJson``).
+
+    The report must not change during the call. Its pieces may be shared
+    between steps, as a run's are; each is encoded once per depth.
+    """
     with open(path, "w", encoding="utf-8") as f:
         _IndentedJson(f.write).emit(report, 0)
         f.write("\n")
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# json's text of each scalar type, by exact type: a subclass is not a scalar
+_SCALAR_TEXT = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_SCALARS = frozenset(_SCALAR_TEXT)
 _STR = frozenset((str,))
-_encode_scalar = json.JSONEncoder().encode
+
+# containers nested at most this deep are written whole and kept; in a
+# report that is everything inside a step
+_WHOLE_LEVELS = 4
 
 
 class _IndentedJson:
@@ -79,44 +104,42 @@ class _IndentedJson:
     piece by piece, never holding the whole document.
 
     ``json`` escapes every control character in a string, so every newline
-    of that text is structural. That makes two shortcuts exact:
+    of that text is structural, and a container's text depends only on its
+    value and depth. A report is read-only and shares its unchanged pieces
+    between steps, so:
 
-    - A flat container (a dict with ``str`` keys or a list or tuple, holding
-      only scalars) is one call of the stdlib's C encoder with
-      ``"," + newline + indent`` as its item separator; only its brackets
-      then need their newline and indent.
-    - A container of scalars and flat containers is encoded once per
-      distinct value and depth and then reused. It is keyed by its
-      ``marshal`` bytes, which, unlike ``==``, keep ``1``, ``1.0`` and
-      ``True`` and ``0.0`` and ``-0.0`` apart.
+    - A container at most ``_WHOLE_LEVELS`` deep, holding only scalars,
+      ``str``-keyed dicts, lists and tuples, is rendered whole, once per
+      object and depth. Its text is kept under ``(id(obj), depth)`` along
+      with the object, so no id can be reused during one write.
+    - A flat dict (scalar values only) is one call of the stdlib's C
+      encoder with ``"," + newline + indent`` as its item separator; only
+      its braces then need their newline and indent. Any other container
+      joins its items' texts.
 
-    A larger container is written item by item. A value of any other type,
-    or a dict with a key that is not a ``str``, is encoded by ``json.dumps``
-    itself and its newlines are indented to its depth.
+    A deeper container (the report, its step list, each step) is written
+    item by item. A value of any other type, or a dict with a key that is
+    not a ``str``, is encoded by ``json.dumps`` itself and its newlines are
+    indented to its depth.
     """
 
     def __init__(self, write):
         self.write = write
-        self.memo: dict[tuple[int, bytes], str] = {}
+        self.memo: dict[tuple[int, int], tuple[object, str]] = {}
         self.flat_encoders: list = []  # by depth
 
     def emit(self, value, depth: int) -> None:
-        text = self.text(value, depth)
+        text = self.text(value, depth, _WHOLE_LEVELS)
         if text is not None:
             self.write(text)
             return
-        t = type(value)
-        if t is dict and _STR.issuperset(map(type, value)):
-            items = [(_encode_key(k), value[k]) for k in sorted(value)]
-            brackets = "{}"
-        elif t is list or t is tuple:
-            items = [("", item) for item in value]
-            brackets = "[]"
-        else:
+        found = _items(value)
+        if found is None:
             self.write(
                 json.dumps(value, indent=2, sort_keys=True).replace("\n", _newline(depth))
             )
             return
+        items, brackets = found
         inner = _newline(depth + 1)
         sep = brackets[0] + inner
         for head, item in items:
@@ -125,72 +148,68 @@ class _IndentedJson:
             sep = "," + inner
         self.write(_newline(depth) + brackets[1])
 
-    def text(self, value, depth: int) -> str | None:
-        """The text of a scalar, a flat container or a container of scalars
-        and flat containers; None for anything else."""
+    def text(self, value, depth: int, levels: int) -> str | None:
+        """The text of a scalar, or of a container at most ``levels`` deep
+        that holds only scalars and such containers; None for anything else."""
+        scalar = _SCALAR_TEXT.get(type(value))
+        if scalar is not None:
+            return scalar(value)
         t = type(value)
-        if t in _SCALARS:
-            return _encode_scalar(value)
-        if t is dict:
+        if not levels or not (t is dict or t is list or t is tuple):
+            return None
+        if not value:
+            return "{}" if t is dict else "[]"
+        if t is not dict and _SCALARS.issuperset(map(type, value)):
+            return self.join([_SCALAR_TEXT[type(x)](x) for x in value], depth, "[]")
+        key = (id(value), depth)
+        kept = self.memo.get(key)
+        if kept is not None:
+            return kept[1]
+        if t is dict and _SCALARS.issuperset(map(type, value.values())):
             if not _STR.issuperset(map(type, value)):
                 return None
-            items = value.values()
-        elif t is list or t is tuple:
-            items = value
+            text = self.flat_dict(value, depth)
         else:
-            return None
-        if _SCALARS.issuperset(map(type, items)):
-            return self.flat(value, depth)
-        for item in items:
-            t = type(item)
-            if t is dict:
-                if not (
-                    _STR.issuperset(map(type, item))
-                    and _SCALARS.issuperset(map(type, item.values()))
-                ):
-                    return None
-            elif t is list or t is tuple:
-                if not _SCALARS.issuperset(map(type, item)):
-                    return None
-            elif t not in _SCALARS:
+            found = _items(value)
+            if found is None:
                 return None
-        key = (depth, marshal.dumps(value, 2))
-        text = self.memo.get(key)
-        if text is None:
-            if type(value) is dict:
-                parts = [_encode_key(k) + self.part(value[k], depth + 1) for k in sorted(value)]
-                brackets = "{}"
-            else:
-                parts = [self.part(item, depth + 1) for item in value]
-                brackets = "[]"
-            inner = _newline(depth + 1)
-            text = self.memo[key] = (
-                brackets[0] + inner + ("," + inner).join(parts) + _newline(depth) + brackets[1]
-            )
+            parts = []
+            for head, item in found[0]:
+                part = self.text(item, depth + 1, levels - 1)
+                if part is None:
+                    return None
+                parts.append(head + part)
+            text = self.join(parts, depth, found[1])
+        self.memo[key] = value, text
         return text
 
-    def part(self, value, depth: int) -> str:
-        return _encode_scalar(value) if type(value) in _SCALARS else self.flat(value, depth)
+    @staticmethod
+    def join(parts: list[str], depth: int, brackets: str) -> str:
+        inner = _newline(depth + 1)
+        return brackets[0] + inner + ("," + inner).join(parts) + _newline(depth) + brackets[1]
 
-    def flat(self, value, depth: int) -> str:
-        if not value:
-            return "{}" if type(value) is dict else "[]"
-        key = (depth, marshal.dumps(value, 2))
-        text = self.memo.get(key)
-        if text is None:
-            while len(self.flat_encoders) <= depth:
-                sep = "," + _newline(len(self.flat_encoders) + 1)
-                encoder = json.JSONEncoder(sort_keys=True, separators=(sep, ": "))
-                self.flat_encoders.append(encoder.encode)
-            body = self.flat_encoders[depth](value)
-            text = self.memo[key] = (
-                body[0] + _newline(depth + 1) + body[1:-1] + _newline(depth) + body[-1]
-            )
-        return text
+    def flat_dict(self, value: dict, depth: int) -> str:
+        while len(self.flat_encoders) <= depth:
+            sep = "," + _newline(len(self.flat_encoders) + 1)
+            encoder = json.JSONEncoder(sort_keys=True, separators=(sep, ": "))
+            self.flat_encoders.append(encoder.encode)
+        body = self.flat_encoders[depth](value)
+        return body[0] + _newline(depth + 1) + body[1:-1] + _newline(depth) + body[-1]
+
+
+def _items(value) -> tuple[list[tuple[str, object]], str] | None:
+    """A container's (key text, item) pairs in output order, and its
+    brackets; None for anything but a ``str``-keyed dict, a list or a tuple."""
+    t = type(value)
+    if t is dict and _STR.issuperset(map(type, value)):
+        return [(_encode_key(k), value[k]) for k in sorted(value)], "{}"
+    if t is list or t is tuple:
+        return [("", item) for item in value], "[]"
+    return None
 
 
 def _encode_key(key: str) -> str:
-    return _encode_scalar(key) + ": "
+    return json.encoder.encode_basestring_ascii(key) + ": "
 
 
 def _newline(depth: int) -> str:

@@ -18,12 +18,19 @@ component, which propagate restamps whenever they change.  Only new or
 restamped candidates go to a ``Valuer``.  ``solve_approx`` is pure, so a
 step whose knapsack instance equals the previous planned step's reuses
 that plan.
+
+A report is read-only and shares its unchanged pieces between steps: a
+re-valued candidate keeps its item and entry while its value is bit for
+bit the same, a step whose entries are all the previous step's reuses its
+candidate list, a reused plan reuses its dict, and ``BayesNet.snapshot``
+shares what did not change.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+import operator
 from collections import deque
 
 import numpy as np
@@ -97,8 +104,9 @@ class SimulatedPool:
 
 @dataclasses.dataclass(slots=True)
 class _Carried:
-    """One (node, template)'s candidate, with its knapsack item and report
-    entry as of ``stamp``, the target's stamp when it was last valued."""
+    """One (node, template)'s candidate, with the knapsack item and report
+    entry of its value, kept while re-valuing gives the same bits; ``stamp``
+    is the target's stamp when it was last valued."""
 
     action: ActionInstance
     fired: bool = False  # dispatched in some step
@@ -152,7 +160,7 @@ class Controller:
         #: the net's nodes of the goal group, in instantiation order
         self.goal_nodes: list[str] = []
         self._carried: dict[tuple[str, str], _Carried] = {}
-        self._last_plan: tuple[KnapsackInstance, Plan] | None = None
+        self._last_plan: tuple[KnapsackInstance, Plan, dict] | None = None
         self._likelihoods: dict[tuple[str, str], np.ndarray] = {}  # (table, outcome)
 
     # -- setup -------------------------------------------------------------
@@ -337,15 +345,20 @@ class Controller:
             for e in stale:
                 c = e.action
                 e.stamp = nodes[c.target_node].stamp
-                e.item = KnapsackItem(id=c.id, value=c.value, cost=c.cost)
-                e.entry = _candidate_entry(c, c.value)
+                if e.entry is None or e.entry["value"].hex() != c.value.hex():
+                    e.item = KnapsackItem(id=c.id, value=c.value, cost=c.cost)
+                    e.entry = _candidate_entry(c, c.value)
             instance = KnapsackInstance(
                 items=tuple(e.item for e in carried), budget=self.config.budget_t
             )
             if self._last_plan is None or self._last_plan[0] != instance:
-                self._last_plan = instance, solve_approx(instance, self.config.epsilon)
-            plan = self._last_plan[1]
+                plan = solve_approx(instance, self.config.epsilon)
+                self._last_plan = instance, plan, plan.to_dict()
+            _, plan, plan_entry = self._last_plan
             entries = [e.entry for e in carried]
+            last = self.steps[-1]["candidates"] if self.steps else []
+            if len(last) == len(entries) and all(map(operator.is_, entries, last)):
+                entries = last
         else:
             # replay values nothing: every candidate, and so the plan, is worth 0
             by_id = {c.id: c for c in candidates}
@@ -357,6 +370,7 @@ class Controller:
                 total_value=0.0,
                 total_cost=float(sum(by_id[i].cost for i in replay_ids)),
             )
+            plan_entry = plan.to_dict()
             entries = [_candidate_entry(c, 0.0) for c in candidates]
         if not plan.selected:
             return None
@@ -390,7 +404,7 @@ class Controller:
         return {
             "step": index,
             "candidates": entries,
-            "plan": plan.to_dict(),
+            "plan": plan_entry,
             "completions": completions,
             "cancelled": cancelled,
             "beliefs_after": self.net.snapshot(),

@@ -424,12 +424,11 @@ def bind_cluster(
 
 def _confirmed(net: BayesNet, node_id: str, threshold: float) -> bool:
     node = net.node(node_id)
+    beliefs = node.belief.tolist()
     null = node.hypotheses.null_label
-    best = max(
-        (float(b) for lab, b in zip(node.labels, node.belief) if lab != null),
-        default=0.0,
-    )
-    return best >= threshold
+    if null is not None:
+        del beliefs[node.labels.index(null)]
+    return max(beliefs, default=0.0) >= threshold
 
 
 def execute_action(

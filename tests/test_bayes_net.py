@@ -1,5 +1,8 @@
 """Net construction, polytree enforcement, and exact propagation."""
 
+import json
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +61,11 @@ class TestLink:
         t2 = table(net.node(b).labels, net.node(c).labels, [[0.9, 0.1], [0.1, 0.9]])
         net.link(b, c, t2)
         assert len(net.edges()) == 2
+        # each node's parents are one kept tuple, replaced by the next link
+        assert net.parents(a) == () and net.parents(c) == ((b, t2),)
+        assert net.parents(c) is net.parents(c)
+        with pytest.raises(UnknownIdError):
+            net.parents("nope")
 
     def test_second_undirected_path_rejected_with_witness(self):
         net = BayesNet()
@@ -186,6 +194,37 @@ class TestEvidence:
         net = BayesNet()
         with pytest.raises(UnknownIdError):
             net.belief("nope")
+
+    @pytest.mark.parametrize(
+        "vec, error",
+        [([0.0, 0.0], InconsistentEvidenceError), ([-1.0, 1.0], ValueError),
+         ([np.nan, 1.0], ValueError), ([np.inf, 1.0], ValueError)],
+        ids=["all-zero", "negative", "nan", "inf"],
+    )
+    def test_read_only_likelihood_is_rejected_every_time(self, vec, error):
+        """A read-only vector is checked once per net only when it passes:
+        a bad one raises its named error on every call."""
+        net = BayesNet()
+        a = net.instantiate_node(hs(0.5, 0.5), node_id="a")
+        lam = np.array(vec)
+        lam.flags.writeable = False
+        for _ in range(2):
+            with pytest.raises(error, match="'a'"):
+                net.attach_evidence(a, lam)
+        assert net.node(a).evidence is None
+
+    def test_read_only_likelihood_attached_twice(self):
+        beliefs = []
+        for writeable in (True, False):
+            net = BayesNet()
+            a = net.instantiate_node(hs(0.5, 0.3, 0.2))
+            lam = np.array([0.9, 0.2, 0.4])
+            lam.flags.writeable = writeable
+            net.attach_evidence(a, lam)
+            net.attach_evidence(a, lam)
+            net.propagate()
+            beliefs.append(net.belief(a))
+        assert np.array_equal(beliefs[0], beliefs[1])
 
 
 class TestPropagate:
@@ -519,6 +558,56 @@ def test_chain_linked_head_first_matches_tail_first():
     assert set(head.edges()) == set(tail.edges())
     for nid in head.nodes:
         assert np.array_equal(head.belief(nid), tail.belief(nid)), nid
+
+
+def _fresh_snapshot(net):
+    """The export built from scratch, as a reference."""
+    return {
+        "nodes": [{"id": nid, "labels": list(node.labels), "belief": node.belief.tolist()}
+                  for nid, node in net.nodes.items()],
+        "edges": [{"parent": e.parent, "child": e.child} for e in net.edges()],
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_snapshot_shares_exactly_what_did_not_change(seed):
+    """Over random interleavings of node, link, evidence and propagate
+    calls, every snapshot equals one built afresh and leaves earlier ones as
+    they were.  It is the last snapshot itself exactly when no belief, node
+    or edge changed, bit for bit, and a node's entry is kept exactly while
+    its belief is; edge entries are always kept."""
+    rng = np.random.default_rng(seed)
+    spec = random_polytree(rng, max_nodes=6)
+    ops = []
+    for k, (nid, (_, prior)) in enumerate(spec.nodes.items()):
+        tail = [("evidence", nid, vec) for vec in spec.evidence.get(nid, [])]
+        tail += [("evidence", nid, vec) for vec in rng.uniform(0.05, 1.0, size=(2, len(prior)))]
+        if k:
+            tail.append(("link", *spec.edges[k - 1]))
+        ops.append(("node", nid, prior))
+        ops.extend(tail[i] for i in rng.permutation(len(tail)))
+    net = BayesNet()
+    last = net.snapshot()
+    held = [(last, json.dumps(last))]
+    for op in ops:
+        _apply(net, op)
+        if rng.random() < 0.5:
+            net.propagate()
+        snap = net.snapshot()
+        fresh = _fresh_snapshot(net)
+        assert json.dumps(snap) == json.dumps(fresh)
+        assert (snap is last) == (json.dumps(fresh) == held[-1][1])
+        old = {n["id"]: n for n in last["nodes"]}
+        for entry in snap["nodes"]:
+            if entry["id"] in old:
+                kept = json.dumps(entry) == json.dumps(old[entry["id"]])
+                assert (entry is old[entry["id"]]) == kept, entry["id"]
+        assert all(map(operator.is_, last["edges"], snap["edges"]))
+        last = snap
+        held.append((snap, json.dumps(snap)))
+    for snap, text in held:
+        assert json.dumps(snap) == text
 
 
 def test_snapshot_round_trip():

@@ -12,7 +12,7 @@ import pytest
 from helpers import all_pairs_cluster_detections, tiny_scenario
 from percept import world as world_module
 from percept.controller import Controller
-from percept.errors import ScenarioError
+from percept.errors import ScenarioError, UnknownIdError
 from percept.model_base import HypothesisSet, build_model_base, load_scenario
 from percept.world import (
     Binding,
@@ -542,3 +542,20 @@ def test_execute_action_branches(branch_contexts, monkeypatch, case):
         assert res.parent_entity == "w-tf"
     else:
         assert (res.siblings, res.parent_entity) == (None, None)
+
+
+@pytest.mark.parametrize("null", [None, "clutter", "tank"])
+def test_confirmed_reads_the_best_non_null_belief(null):
+    """The null label's belief, the largest here, never confirms a node."""
+    from percept.bayes_net import BayesNet
+    from percept.world import _confirmed
+
+    labels = ("tank", "clutter", "truck")
+    net = BayesNet()
+    hs = HypothesisSet(labels=labels, priors=np.array([0.3, 0.5, 0.2]), null_label=null)
+    nid = net.instantiate_node(hs, node_id="n")
+    best = max(b for lab, b in zip(labels, [0.3, 0.5, 0.2]) if lab != null)
+    assert _confirmed(net, nid, best)
+    assert not _confirmed(net, nid, np.nextafter(best, 1.0))
+    with pytest.raises(UnknownIdError):
+        _confirmed(net, "missing", 0.0)

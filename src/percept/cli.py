@@ -94,8 +94,8 @@ _SCALAR_TEXT = {
 _SCALARS = frozenset(_SCALAR_TEXT)
 _STR = frozenset((str,))
 
-# containers nested at most this deep are written whole and kept; in a
-# report that is everything inside a step
+# containers nested at most this deep are written whole; in a report that
+# is everything inside a step
 _WHOLE_LEVELS = 4
 
 
@@ -114,8 +114,9 @@ class _IndentedJson:
       with the object, so no id can be reused during one write.
     - A flat dict (scalar values only) is one call of the stdlib's C
       encoder with ``"," + newline + indent`` as its item separator; only
-      its braces then need their newline and indent. Any other container
-      joins its items' texts.
+      its braces then need their newline and indent. A flat list joins its
+      scalars' texts and is not kept, as that costs about what a lookup
+      does. Any other container joins its items' texts.
 
     A deeper container (the report, its step list, each step) is written
     item by item. A value of any other type, or a dict with a key that is

@@ -30,6 +30,15 @@ messages directed away from r and r's own evidence message, and no
 message directed toward r.  Every message is the same expression of the
 same inputs however it was scheduled, so beliefs are bit for bit those
 of one propagate over a fresh net.
+
+Messages and beliefs are computed on Python floats: each factor's table
+is listed once, as fibers along each of its axes, when its schedule
+compiles; a message or belief multiplies its inputs in factor order and
+sums left to right, which is numpy's order for fewer than 8 terms.  For
+factors over one or two variables of at most 7 labels each, every
+message and belief is bit for bit what the earlier numpy code gave; a
+node with 8 or more labels, or a factor over 3 or more variables, may
+differ from it in the last bits.  Beliefs are numpy arrays.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -85,8 +95,49 @@ class _Schedule:
     up: dict[str, tuple[str, str] | None]  # factor each node was reached through
     below: dict[str, list[tuple[tuple[str, str], list[str]]]]  # factor, nodes beyond
     factors: dict[str, list[tuple[str, str]]]  # node -> factors over it, in rank order
-    scope: dict[tuple[str, str], tuple[tuple[str, ...], np.ndarray]]  # cpt -> vars, table
+    scope: dict[tuple[str, str], tuple[tuple[str, ...], list]]  # cpt -> vars, fibers
     stale: bool = False
+
+
+def _fibers(table: np.ndarray) -> list[list[list[float]]]:
+    """Per axis t, per label i of t: the entries with index i on t, over the
+    other axes in C order (the last fastest), as Python floats."""
+    axes = range(table.ndim)
+    return [
+        table.transpose(t, *(a for a in axes if a != t)).reshape(table.shape[t], -1).tolist()
+        for t in axes
+    ]
+
+
+def _contract(fibers: list[list[float]], msgs: list[list[float]]) -> list[float]:
+    """Message from a factor to one of its variables, given the factor's
+    fibers along that variable's axis and the other variables' messages in
+    axis order: per label, the fiber's entries times each message, summed
+    left to right."""
+    size = len(fibers[0])
+    weights = []
+    inner = size
+    for m in msgs:  # each message spread over the fiber's positions
+        inner //= len(m)
+        w = m if inner == 1 else [x for x in m for _ in range(inner)]
+        weights.append(w * (size // len(w)))
+    out = []
+    for fiber in fibers:
+        terms = fiber
+        for w in weights:
+            terms = map(operator.mul, terms, w)
+        out.append(reduce(operator.add, terms, -0.0))
+    return out
+
+
+def _product(msgs: list[list[float]], n: int) -> list[float]:
+    """The elementwise product of ``msgs`` in order; n ones if none."""
+    if not msgs:
+        return [1.0] * n
+    out = msgs[0]
+    for m in msgs[1:]:
+        out = list(map(operator.mul, out, m))
+    return out
 
 
 class BayesNet:
@@ -103,7 +154,7 @@ class BayesNet:
         self._checked_likelihoods: set[bytes] = set()  # read-only ones, by value
         self._cpts: dict[str, np.ndarray] = {}  # p(node | all its parents), set by link
         self._dirty: set[str] = set()  # nodes touched since the last propagate
-        self._messages: dict[tuple, np.ndarray] = {}  # (sender, receiver) -> message
+        self._messages: dict[tuple, list[float]] = {}  # (sender, receiver) -> message
         self._schedules: dict[str, _Schedule] = {}  # node -> its component's schedule
         self._generation = 0  # propagate calls that recomputed anything
 
@@ -317,7 +368,7 @@ class BayesNet:
                     continue
                 vs, table = self._factor(f)
                 if f[0] == "cpt":  # evidence changes without a structure change
-                    scope[f] = vs, table
+                    scope[f] = vs, _fibers(table)
                 rest = [u for u in vs if u != v]
                 below[v].append((f, rest))
                 for u in rest:
@@ -343,34 +394,28 @@ class BayesNet:
         if not self._dirty:
             return
         messages = self._messages
-        replaced: dict[tuple, np.ndarray | None] = {}  # key -> kept message before
+        replaced: dict[tuple, list[float] | None] = {}  # key -> kept message before
+        nodes = self.nodes
 
         def send(key, out, what):
-            s = out.sum()
+            s = reduce(operator.add, out, -0.0)
             if s <= 0:
                 raise InconsistentEvidenceError(f"{what} has zero total probability")
             replaced[key] = messages.get(key)
-            messages[key] = out / s
+            messages[key] = [x / s for x in out]
 
         def var_to_factor(sched, v, f):
-            out = np.ones(len(self.nodes[v].labels))
-            for g in sched.factors[v]:
-                if g != f:
-                    out = out * messages[g, v]
-            send((v, f), out, f"evidence on {v!r}")
+            msgs = [messages[g, v] for g in sched.factors[v] if g != f]
+            send((v, f), _product(msgs, len(nodes[v].labels)), f"evidence on {v!r}")
 
         def factor_to_var(sched, f, v):
-            vs, a = sched.scope.get(f) or self._factor(f)
-            for ax, u in enumerate(vs):
-                if u == v:
-                    continue
-                m = messages[u, f]
-                view = [1] * a.ndim
-                view[ax] = len(m)
-                a = a * m.reshape(view)
-            target_ax = vs.index(v)
-            other_axes = tuple(ax for ax in range(a.ndim) if ax != target_ax)
-            out = a.sum(axis=other_axes) if other_axes else np.array(a, copy=True)
+            scope = sched.scope.get(f)
+            if scope is None:
+                vs, table = self._factor(f)
+                scope = vs, _fibers(table)
+            vs, fibers = scope
+            msgs = [messages[u, f] for u in vs if u != v]
+            out = _contract(fibers[vs.index(v)], msgs)
             send((f, v), out, f"evidence reaching {v!r}")
 
         beliefs = []
@@ -408,15 +453,14 @@ class BayesNet:
                             if total > touched[u] or (f, u) not in messages:
                                 factor_to_var(sched, f, u)
                 for v in order:
-                    out = np.ones(len(self.nodes[v].labels))
-                    for f in sched.factors[v]:
-                        out = out * messages[f, v]
-                    s = out.sum()
+                    msgs = [messages[f, v] for f in sched.factors[v]]
+                    out = _product(msgs, len(nodes[v].labels))
+                    s = reduce(operator.add, out, -0.0)
                     if s <= 0:
                         raise InconsistentEvidenceError(
                             f"posterior for {v!r} has zero total probability"
                         )
-                    beliefs.append((self.nodes[v], out / s))
+                    beliefs.append((nodes[v], [x / s for x in out]))
         except InconsistentEvidenceError:
             for key, old in replaced.items():
                 if old is None:
@@ -426,7 +470,7 @@ class BayesNet:
             raise
         self._generation += 1
         for node, belief in beliefs:
-            node.belief = belief
+            node.belief = np.array(belief)
             node.stamp = self._generation
         self._dirty.clear()
 

@@ -21,8 +21,8 @@ that plan.
 
 A report is read-only and shares its unchanged pieces between steps: a
 re-valued candidate keeps its item and entry while its value is bit for
-bit the same, a step whose entries are all the previous step's reuses its
-candidate list, a reused plan reuses its dict, and ``BayesNet.snapshot``
+bit the same, a replayed one keeps one zero-valued entry, a step whose
+entries are all the previous step's reuses its candidate list, a reused plan reuses its dict, and ``BayesNet.snapshot``
 shares what did not change.
 """
 
@@ -105,14 +105,16 @@ class SimulatedPool:
 @dataclasses.dataclass(slots=True)
 class _Carried:
     """One (node, template)'s candidate, with the knapsack item and report
-    entry of its value, kept while re-valuing gives the same bits; ``stamp``
-    is the target's stamp when it was last valued."""
+    entry of its value, kept while re-valuing gives the same bits, and the
+    zero-valued entry of its replayed steps; ``stamp`` is the target's stamp
+    when it was last valued."""
 
     action: ActionInstance
     fired: bool = False  # dispatched in some step
     stamp: int | None = None  # None: never valued
     item: KnapsackItem | None = None
     entry: dict | None = None
+    replay_entry: dict | None = None
 
 
 def _candidate_entry(action: ActionInstance, value: float) -> dict:
@@ -120,10 +122,19 @@ def _candidate_entry(action: ActionInstance, value: float) -> dict:
             "value": value, "cost": action.cost}
 
 
+def _uint32_words(n: int) -> list[int]:
+    """``n``'s 32-bit words, low first, as ``SeedSequence`` splits an int."""
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def check_termination(net: BayesNet, config: ControlConfig, goal_nodes) -> bool:
     """True once any goal node's maximum belief reaches the threshold."""
     return any(
-        float(net.nodes[nid].belief.max()) >= config.termination_belief
+        max(net.nodes[nid].belief.tolist()) >= config.termination_belief
         for nid in goal_nodes
     )
 
@@ -153,6 +164,7 @@ class Controller:
         self.world = world_sim.World.from_dict(model_base)
         self.bindings: dict[str, world_sim.Binding] = {}
         self._template_index = {t.id: i for i, t in enumerate(model_base.actions)}
+        self._seed_words = _uint32_words(self.config.seed)
         self.clock = 0
         #: each step's report entry, in order
         self.steps: list[dict] = []
@@ -253,8 +265,12 @@ class Controller:
         if not self.net.parents(child_id):
             node = self.net.node(child_id)
             w = node.prior
-            base = np.array(self.mb.hypothesis_set(node.group).priors)
-            if not np.allclose(w, base, atol=1e-12):
+            base = self.mb.hypothesis_set(node.group).priors
+            # np.allclose(w, base, atol=1e-12) written out; both are finite
+            if not all(
+                abs(a - b) <= 1e-12 + 1e-5 * abs(b)
+                for a, b in zip(w.tolist(), base.tolist())
+            ):
                 adj = np.divide(w, base, out=np.zeros_like(w), where=base > 0)
                 self.net.attach_evidence(child_id, adj)
         self.net.link(parent_id, child_id, cpt)
@@ -302,16 +318,15 @@ class Controller:
     def _keyed_rng(
         self, stream: int, step: int, action: ActionInstance
     ) -> np.random.Generator:
-        # keyed, not sequential: replays and permutations see identical streams
-        return np.random.default_rng(
-            (
-                self.config.seed,
-                stream,
-                step,
-                self.net.node(action.target_node).rank,
-                self._template_index[action.template_id],
-            )
-        )
+        """``default_rng((seed, stream, step, rank, template index))``, from
+        the key's uint32 words: ``SeedSequence`` splits each key integer into
+        its 32-bit words, low first, so for every seed the words are the
+        tuple's entropy.  Keyed, not sequential: replays and permutations
+        see identical streams."""
+        rank = self.net.node(action.target_node).rank
+        key = [*self._seed_words, stream, step, rank, self._template_index[action.template_id]]
+        entropy = np.random.SeedSequence(np.array(key, dtype=np.uint32))
+        return np.random.Generator(np.random.PCG64(entropy))
 
     def _duration(self, step: int, action: ActionInstance) -> int:
         """Actual runtime: the declared cost, optionally jittered.
@@ -335,9 +350,9 @@ class Controller:
         candidates = self.enumerate_candidates()
         if not candidates:
             return None
+        carried = [self._carried[c.target_node, c.template_id] for c in candidates]
         if replay_ids is None:
             nodes = self.net.nodes
-            carried = [self._carried[c.target_node, c.template_id] for c in candidates]
             stale = [e for e in carried if e.stamp != nodes[e.action.target_node].stamp]
             Valuer(self.net, self.mb, mode=self.mode).value_all_candidates(
                 [e.action for e in stale]
@@ -356,9 +371,6 @@ class Controller:
                 self._last_plan = instance, plan, plan.to_dict()
             _, plan, plan_entry = self._last_plan
             entries = [e.entry for e in carried]
-            last = self.steps[-1]["candidates"] if self.steps else []
-            if len(last) == len(entries) and all(map(operator.is_, entries, last)):
-                entries = last
         else:
             # replay values nothing: every candidate, and so the plan, is worth 0
             by_id = {c.id: c for c in candidates}
@@ -371,7 +383,13 @@ class Controller:
                 total_cost=float(sum(by_id[i].cost for i in replay_ids)),
             )
             plan_entry = plan.to_dict()
-            entries = [_candidate_entry(c, 0.0) for c in candidates]
+            for e in carried:
+                if e.replay_entry is None:
+                    e.replay_entry = _candidate_entry(e.action, 0.0)
+            entries = [e.replay_entry for e in carried]
+        last = self.steps[-1]["candidates"] if self.steps else []
+        if len(last) == len(entries) and all(map(operator.is_, entries, last)):
+            entries = last
         if not plan.selected:
             return None
         if plan.total_cost > self.config.budget_t and replay_ids is None:

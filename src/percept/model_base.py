@@ -210,6 +210,12 @@ class ConditionalTable:
             label = self.parent_labels[int(np.argmax(bad))]
             raise ScenarioError(f"cpt {self.id}: row {label!r} does not sum to 1")
 
+    @functools.cached_property
+    def columns(self) -> list[list[float]]:
+        """``columns[c][p]`` = p(child label c | parent label p): ``rows``
+        transposed, as Python floats, computed on first use."""
+        return self.rows.T.tolist()
+
 
 @dataclass(frozen=True, eq=False)
 class OutcomeTable:
@@ -254,10 +260,36 @@ class OutcomeTable:
             )
 
     @functools.cached_property
-    def marginal(self) -> np.ndarray:
-        """``marginal[c, p]`` = p(child label c | parent label p): ``entries``
-        with the outcomes summed out, computed on first use."""
-        return self.entries.sum(axis=1)
+    def marginal(self) -> list[list[float]]:
+        """``marginal[c][p]`` = p(child label c | parent label p): ``entries``
+        with the outcomes summed out, as Python floats, computed on first use."""
+        return self.entries.sum(axis=1).tolist()
+
+    @functools.cached_property
+    def _cdfs(self) -> dict[tuple[int | None, int], list[float] | None]:
+        return {}
+
+    def outcome_cdf(self, ci: int | None, pi: int) -> list[float] | None:
+        """Cumulative outcome distribution at child label index ``ci`` and
+        parent label index ``pi``, or with the child summed out when ``ci``
+        is None; None if that slice has zero total.
+
+        It is built as ``Generator.choice`` builds it from ``p = row /
+        row.sum()`` (``cumsum``, then divide by the last entry), so
+        ``bisect_right(cdf, rng.random())`` picks the outcome ``choice``
+        would.  Each slice is computed once, on first use.
+        """
+        key = (ci, pi)
+        if key not in self._cdfs:
+            row = self.entries[:, :, pi].sum(axis=0) if ci is None else self.entries[ci, :, pi]
+            total = row.sum()
+            cdf = None
+            if total > 0:
+                cdf = (row / total).cumsum()
+                cdf /= cdf[-1]
+                cdf = cdf.tolist()
+            self._cdfs[key] = cdf
+        return self._cdfs[key]
 
     def outcome_index(self, outcome: str) -> int:
         try:

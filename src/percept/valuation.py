@@ -26,6 +26,12 @@ before applying Bayes rule, so an action whose outcomes are informative
 but symmetric can score 0.  EXPECTED_ABS_CHANGE averages the absolute
 posterior shift over outcomes instead and never scores below the
 marginalized mode.
+
+The value recursion and the OUTCOME_MARGINAL contraction run on Python
+floats, each sum left to right, which is numpy's order for fewer than 8
+terms: with at most 7 labels per source and child, every value is bit for
+bit what the earlier numpy code gave, and with 8 or more it may differ in
+the last bits.  The EXPECTED_ABS_CHANGE contraction stays on numpy.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -64,22 +72,25 @@ class ActionInstance:
 Source = tuple[str, str]
 
 
-def _bayes(link: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(parent | child) for every child label, from ``link[child, parent]``
-    = p(child | parent) and the parent prior, and each child label's total
-    probability; a row with zero total is NaN."""
-    joint = link * prior  # (child, parent)
-    denom = joint.sum(axis=1)
-    post = np.divide(joint, denom[:, None], out=np.full(joint.shape, np.nan),
-                     where=denom[:, None] > 0.0)
-    return post, denom
-
-
-def _shift_values(link: np.ndarray, prior: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _shift_values(
+    link: list[list[float]], prior: list[float], values: list[float]
+) -> list[float]:
     """Per child label, |p(parent | child) - prior| weighted by the parent
-    labels' values and summed; NaN at a child label of zero total."""
-    post, denom = _bayes(link, prior)
-    return np.where(denom > 0.0, (np.abs(post - prior) * values).sum(axis=1), np.nan)
+    labels' values and summed; NaN at a child label of zero total.
+
+    ``link[c][p]`` = p(child c | parent p).  Bayes rule runs per child
+    label on Python floats, each sum left to right.
+    """
+    out = []
+    for row in link:
+        joint = list(map(mul, row, prior))
+        total = reduce(add, joint, -0.0)
+        if total > 0.0:
+            shifts = [abs(j / total - q) * v for j, q, v in zip(joint, prior, values)]
+            out.append(reduce(add, shifts, -0.0))
+        else:
+            out.append(math.nan)
+    return out
 
 
 class Valuer:
@@ -110,7 +121,8 @@ class Valuer:
         self.posterior_evals = 0  # contractions: one per source of each (table, sources)
         self._sources_of: dict[tuple[str, str], tuple[Source, ...]] = {}
         self._totals: dict[tuple[str, tuple[Source, ...]], float] = {}
-        self._values: dict[Source, np.ndarray] = {}
+        self._values: dict[Source, list[float]] = {}
+        self._probabilities: dict[Source, list[float]] = {}
         # propagate replaces belief arrays and never writes into them, so
         # references keep the construction-time beliefs
         self._beliefs: dict[str, np.ndarray] = {
@@ -119,16 +131,20 @@ class Valuer:
 
     # -- value recursion ---------------------------------------------------
 
-    def _distribution(self, source: Source) -> tuple[tuple[str, ...], np.ndarray]:
+    def _distribution(self, source: Source) -> tuple[tuple[str, ...], list[float]]:
         """A source's labels and current probabilities: a node's belief at
         construction, a group's a priori priors."""
         kind, ident = source
         if kind == "node":
-            return self.net.node(ident).labels, self._beliefs[ident]
-        hs = self.mb.hypothesis_set(ident)
-        return hs.labels, np.array(hs.priors)
+            labels, probs = self.net.node(ident).labels, self._beliefs[ident]
+        else:
+            hs = self.mb.hypothesis_set(ident)
+            labels, probs = hs.labels, hs.priors
+        if source not in self._probabilities:
+            self._probabilities[source] = probs.tolist()
+        return labels, self._probabilities[source]
 
-    def _value(self, source: Source) -> np.ndarray:
+    def _value(self, source: Source) -> list[float]:
         """V(label) for each label of a source, by the module's one recursion."""
         if source in self._values:
             return self._values[source]
@@ -143,15 +159,15 @@ class Valuer:
                 for pg, cpt_id in self.mb.group_parents.get(ident, ())
             ]
         if group == self.mb.goal_group:
-            vec = np.array([self.mb.goal_values.get(lab, 0.0) for lab in labels])
+            vec = [float(self.mb.goal_values.get(lab, 0.0)) for lab in labels]
         elif parents:
-            vec = np.zeros(len(labels))
+            vec = [0.0] * len(labels)
             for parent, cpt in parents:
-                # a child label of zero total cannot bear on the parent
                 shift = _shift_values(
-                    cpt.rows.T, self._distribution(parent)[1], self._value(parent)
+                    cpt.columns, self._distribution(parent)[1], self._value(parent)
                 )
-                vec += np.where(np.isnan(shift), 0.0, shift)
+                # a child label of zero total cannot bear on the parent
+                vec = [a + (0.0 if math.isnan(b) else b) for a, b in zip(vec, shift)]
         elif kind == "node" and group is not None:
             vec = self._value(("group", group))
         else:
@@ -197,7 +213,7 @@ class Valuer:
 
     # -- the operations ------------------------------------------------------
 
-    def _context_values(self, table: OutcomeTable, source: Source) -> np.ndarray:
+    def _context_values(self, table: OutcomeTable, source: Source) -> list[float]:
         """Value of confirming each child label, in one source's context.
 
         One contraction over ``entries[c, o, p]`` covers every label.  A label
@@ -219,17 +235,17 @@ class Valuer:
         # zero-mass outcomes move nothing; cumsum adds outcomes in order
         moved = np.where(mass[..., None] > 0.0, moved, 0.0)
         shift = np.cumsum(moved, axis=1)[:, -1]
-        return np.where(denom > 0.0, (shift * values).sum(axis=1), np.nan)
+        return np.where(denom > 0.0, (shift * values).sum(axis=1), np.nan).tolist()
 
     def _label_values(
         self, table: OutcomeTable, sources: tuple[Source, ...]
     ) -> list[float]:
         """The value at each child label of ``table``: the sources'
         contractions added in precedence order."""
-        total = np.zeros(len(table.child_labels))
+        total = [0.0] * len(table.child_labels)
         for source in sources:
-            total = total + self._context_values(table, source)
-        return total.tolist()
+            total = list(map(add, total, self._context_values(table, source)))
+        return total
 
     @staticmethod
     def _defined(action: ActionInstance, label: str, value: float) -> float:
@@ -250,12 +266,13 @@ class Valuer:
             if parent_label in labels:
                 self.posterior_evals += 1
                 ci = table.child_labels.index(child_label)
-                post, denom = _bayes(table.marginal, prior)
-                if denom[ci] <= 0.0:
+                joint = list(map(mul, table.marginal[ci], prior))
+                total = reduce(add, joint, -0.0)
+                if total <= 0.0:
                     raise UnsupportedConfigurationError(
                         f"action {action.id}: zero probability for label {child_label!r}"
                     )
-                return float(post[ci, labels.index(parent_label)])
+                return joint[labels.index(parent_label)] / total
         raise UnsupportedConfigurationError(
             f"action {action.id}: no parent context carries label {parent_label!r}"
         )
@@ -284,7 +301,9 @@ class Valuer:
         key = (table.id, sources)
         if key not in self._totals:
             values = zip(node.labels, self._label_values(table, sources))
-            self._totals[key] = float(sum(self._defined(action, lab, v) for lab, v in values))
+            self._totals[key] = reduce(
+                add, (self._defined(action, lab, v) for lab, v in values), 0.0
+            )
         return self._totals[key]
 
     def value_all_candidates(self, candidates) -> list[ActionInstance]:

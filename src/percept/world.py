@@ -2,11 +2,16 @@
 
 The world is immutable during a run.  Sampled outcomes condition on true
 entity types; the inference side only ever sees outcome ids (and, for
-searches, the matched sibling node set), never the truth itself.
+searches, the matched sibling node set), never the truth itself.  An
+outcome draw is one ``random()`` of its generator and a ``bisect_right``
+on the slice's cumulative distribution, a list of Python floats that the
+table builds once per slice as ``Generator.choice`` builds it, so the
+draw picks what ``choice(len(outcomes), p=row / row.sum())`` would.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -513,26 +518,23 @@ def _sample_outcome(
         raise ScenarioError(
             f"table {table.id}: no parent label for truth {parent_label!r}"
         )
-    ci = table.child_labels.index(child_label)
-    pi = table.parent_labels.index(parent_label)
-    row = table.entries[ci, :, pi]
-    total = row.sum()
-    if total <= 0:
+    cdf = table.outcome_cdf(
+        table.child_labels.index(child_label), table.parent_labels.index(parent_label)
+    )
+    if cdf is None:
         raise ScenarioError(
             f"table {table.id}: truth ({child_label!r} | {parent_label!r}) "
             "has zero probability"
         )
-    idx = rng.choice(len(table.outcomes), p=row / total)
-    return table.outcomes[int(idx)]
+    return table.outcomes[bisect.bisect_right(cdf, rng.random())]
 
 
 def _sample_null_parent(table, null_label: str | None, rng: np.random.Generator) -> str:
-    """Outcome distribution when no true entity backs the target."""
+    """Outcome distribution when no true entity backs the target: the null
+    parent's slice with the child marginalized out."""
     if null_label is None or null_label not in table.parent_labels:
         raise ScenarioError(
             f"table {table.id}: no null parent label to sample an absent target"
         )
-    pi = table.parent_labels.index(null_label)
-    probs = table.entries[:, :, pi].sum(axis=0)  # child marginalized out
-    idx = rng.choice(len(table.outcomes), p=probs / probs.sum())
-    return table.outcomes[int(idx)]
+    cdf = table.outcome_cdf(None, table.parent_labels.index(null_label))
+    return table.outcomes[bisect.bisect_right(cdf, rng.random())]

@@ -34,8 +34,9 @@ of one propagate over a fresh net.
 Messages and beliefs are computed on Python floats: each factor's table
 is listed once, as fibers along each of its axes, when its schedule
 compiles; a message or belief multiplies its inputs in factor order and
-sums left to right, which is numpy's order for fewer than 8 terms.  For
-factors over one or two variables of at most 7 labels each, every
+sums left to right with ``reduce(add, ...)`` (from Python 3.12 the
+built-in ``sum`` of floats is compensated), which is numpy's order for
+fewer than 8 terms.  For factors over one or two variables of at most 7 labels each, every
 message and belief is bit for bit what the earlier numpy code gave; a
 node with 8 or more labels, or a factor over 3 or more variables, may
 differ from it in the last bits.  Beliefs are numpy arrays.

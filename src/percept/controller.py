@@ -22,8 +22,9 @@ that plan.
 A report is read-only and shares its unchanged pieces between steps: a
 re-valued candidate keeps its item and entry while its value is bit for
 bit the same, a replayed one keeps one zero-valued entry, a step whose
-entries are all the previous step's reuses its candidate list, a reused plan reuses its dict, and ``BayesNet.snapshot``
-shares what did not change.
+entries are all the previous step's reuses its candidate list, a reused
+plan reuses its dict, and ``BayesNet.snapshot`` shares what did not
+change.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ posterior shift over outcomes instead and never scores below the
 marginalized mode.
 
 The value recursion and the OUTCOME_MARGINAL contraction run on Python
-floats, each sum left to right, which is numpy's order for fewer than 8
-terms: with at most 7 labels per source and child, every value is bit for
-bit what the earlier numpy code gave, and with 8 or more it may differ in
-the last bits.  The EXPECTED_ABS_CHANGE contraction stays on numpy.
+floats, each sum left to right with ``reduce(add, ...)``, which is
+numpy's order for fewer than 8 terms: with at most 7 labels per source
+and child, every value is bit for bit what the earlier numpy code gave,
+and with 8 or more it may differ in the last bits.  The
+EXPECTED_ABS_CHANGE contraction stays on numpy.
 """
 
 from __future__ import annotations
